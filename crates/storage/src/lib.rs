@@ -87,9 +87,9 @@
 //!   and shares no WAL handle — so no call site silently "persists"
 //!   into a copy whose log no longer exists.
 //! * **Readers never block writers** ([`mvcc`]): a transaction reads
-//!   an immutable published `Arc` snapshot; commits mutate a
-//!   copy-on-write mirror and publish a fresh `Arc`. No reader holds
-//!   any lock while a commit runs, and an in-flight reader's view
+//!   an immutable published `Arc` snapshot; each commit publishes a
+//!   fresh `Arc` (a detached copy of the canonical store). No reader
+//!   holds any lock while a commit runs, and an in-flight reader's view
 //!   never changes.
 //! * **First committer wins** ([`mvcc`]): of two overlapping write
 //!   sets, the second commit fails with
@@ -103,16 +103,15 @@
 //!   under the commit mutex, so the log's `Begin…Commit` run order is
 //!   the commit-timestamp order — itself a valid serialization order
 //!   of the recorded history.
-//! * **Acknowledged never means lost** ([`wal::GroupCommitPolicy`]):
-//!   under group commit, [`mvcc::MvccTxn::commit`] returns (and a
-//!   pipelined [`mvcc::CommitTicket`] redeems) only after a
-//!   `sync_data` covering that commit's log bytes has succeeded. A
-//!   crash loses at most a *suffix* of published-but-unacknowledged
-//!   commits — recovery always yields a commit-order prefix containing
-//!   every acknowledged transaction. The first sync failure latches:
-//!   it is reported to every waiter at and past the failed batch, and
-//!   the log is restored to its last durable length so later commits
-//!   cannot be reordered around the hole.
+//! * **Acknowledged never means lost** ([`wal`]): every durable write
+//!   appends through one path and returns (or, for a pipelined
+//!   [`mvcc::CommitTicket`], redeems) only after a `sync_data` covering
+//!   its log bytes has succeeded. A crash loses at most a *suffix* of
+//!   unacknowledged commits — recovery always yields a commit-order
+//!   prefix containing every acknowledged transaction. The first sync
+//!   failure latches: it is reported to every waiter at and past the
+//!   failed batch, and the log refuses every later append, so no
+//!   commit can be acknowledged behind the hole.
 //!
 //! # Example
 //!

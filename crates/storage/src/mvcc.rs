@@ -27,8 +27,9 @@
 //!    `Begin…Commit` bracket are exactly the single-threaded code
 //!    path: commits serialize into the log in timestamp order.
 //! 4. The commit timestamp is stamped on every written item, a fresh
-//!    snapshot is published copy-on-write, and (when history recording
-//!    is on) a [`TxnRecord`] is appended for the oracle.
+//!    snapshot (a [`Store::detached_clone`] of the canonical store) is
+//!    published, and (when history recording is on) a [`TxnRecord`] is
+//!    appended for the oracle.
 //!
 //! Commit-time work runs under one commit mutex; everything before it
 //! — reads, planned queries, constraint checks, conflict-free
@@ -36,16 +37,17 @@
 //!
 //! # Durability under concurrency
 //!
-//! With a grouped [`GroupCommitPolicy`] (see
-//! [`MvccStore::set_group_commit`]) step 3 only *buffers* the WAL run;
-//! the committer publishes, releases the commit mutex, and then waits
-//! for the covering `sync_data` — issued once per batch by an elected
-//! leader — before `commit()` returns. Acknowledged never means lost:
-//! a crash can lose only transactions whose `commit()` had not yet
-//! returned, and recovery still lands on a commit-order prefix. A
-//! failed group sync surfaces as [`CommitError::SyncFailed`]: the
-//! commit stands in memory but is not acknowledged as durable, and the
-//! poisoned log fails later commits loudly.
+//! Step 3 only *buffers* the WAL run; the committer publishes, releases
+//! the commit mutex, and then waits for the covering `sync_data` —
+//! issued by an elected leader, once per batch under a grouped
+//! [`GroupCommitPolicy`] (see [`MvccStore::set_group_commit`]), and as
+//! a group of one by default — before `commit()` returns. Acknowledged
+//! never means lost: a crash can lose only transactions whose
+//! `commit()` had not yet returned, and recovery still lands on a
+//! commit-order prefix. A failed sync surfaces as
+//! [`CommitError::SyncFailed`]: the commit stands in memory but is not
+//! acknowledged as durable, and the latched log fails later commits
+//! loudly.
 //!
 //! [`MvccTxn::commit_pipelined`] splits the two halves apart: it
 //! returns as soon as the commit is published, handing back a
@@ -120,7 +122,7 @@ use crate::optimize::Optimizer;
 use crate::oracle::{Item, QueryRecord, TxnRecord};
 use crate::snapshot;
 use crate::store::{DurabilityMode, SnapshotFailure, SnapshotJob, Store, StoreError};
-use crate::txn::{Transaction, TxnOp, TxnOutcome};
+use crate::txn::{Transaction, TxnOp};
 use crate::wal::{DurabilityError, GroupCommitPolicy, WalAck};
 
 /// Why a [`MvccTxn::commit`] was refused. In every case the shared
@@ -158,11 +160,12 @@ pub enum CommitError {
         /// The store's reason.
         error: StoreError,
     },
-    /// Group commit only: the transaction reached the shared store and
-    /// the log buffer, but the covering `sync_data` **failed** — the
+    /// The transaction reached the shared store and the log buffer,
+    /// but the covering `sync_data` **failed** — the
     /// commit is applied in memory (later snapshots see it) yet may
-    /// not survive a crash. The log is poisoned against further
-    /// appends, so subsequent durable commits fail loudly too. This is
+    /// not survive a crash. The log is latched against further
+    /// appends, so subsequent durable commits fail loudly too (as
+    /// `Rejected` with [`StoreError::Durability`]). This is
     /// the concurrent analogue of the single-writer memory-runs-ahead
     /// contract: acknowledged never means lost, so an un-syncable
     /// commit is not acknowledged as durable.
@@ -282,20 +285,11 @@ impl<E: fmt::Debug + fmt::Display> std::error::Error for RunTxnError<E> {}
 
 /// The committed tail of the store, guarded by the commit mutex.
 struct Committed {
-    /// Whether the canonical store's WAL runs under a grouped policy —
-    /// cached here so the hot commit path never takes the group-commit
-    /// mutex (which ack waiters and the sync leader contend on) just to
-    /// read the policy. Kept in step by [`MvccStore::set_group_commit`].
-    grouped: bool,
     /// The canonical store: owns durability; every commit re-applies
     /// its buffered ops here through the ordinary [`Transaction`]
     /// path, so the WAL sees one `Begin…Commit` run per commit, in
     /// timestamp order.
     store: Store,
-    /// A volatile mirror of `store`, maintained copy-on-write and
-    /// published as the read snapshot. Kept separate so published
-    /// `Arc`s never alias the durability-owning store.
-    mirror: Arc<Store>,
     /// Item → commit timestamp of its latest committed write.
     versions: Arc<FxHashMap<Item, u64>>,
     /// The latest commit timestamp.
@@ -306,10 +300,13 @@ struct Committed {
 }
 
 /// The read-side publication: swapped atomically (under a brief write
-/// lock) after each commit; [`MvccStore::begin`] takes the read lock
-/// only long enough to clone two `Arc`s.
+/// lock, while the commit mutex is held) after each commit;
+/// [`MvccStore::begin`] takes the read lock only long enough to clone
+/// two `Arc`s.
 struct Published {
     ts: u64,
+    /// A detached copy of the canonical store, so published `Arc`s
+    /// never alias the durability-owning store.
     snapshot: Arc<Store>,
     versions: Arc<FxHashMap<Item, u64>>,
 }
@@ -473,6 +470,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A detached copy of `store` to publish as the read snapshot. Its
+/// private touched log stays off: snapshots never feed the incremental
+/// pipeline directly, and a tracking copy would grow unboundedly.
+fn publishable(store: &Store) -> Arc<Store> {
+    let mut snapshot = store.detached_clone();
+    snapshot.track_touched(false);
+    Arc::new(snapshot)
+}
+
 impl MvccStore {
     /// Wraps `store` — typically fresh from [`Store::new`] or a
     /// durable [`Store::open`] — for concurrent use, with the default
@@ -484,11 +490,10 @@ impl MvccStore {
     /// [`MvccStore::new`] with an explicit validation mode.
     ///
     /// For a [`DurabilityMode::WalWithSnapshots`] store this also
-    /// spawns the background snapshot worker and switches the store's
-    /// cadence to deferred: committers only raise a flag at cadence,
-    /// and the worker dumps the already-published `Arc` snapshot off
-    /// the commit path.
-    pub fn with_validation(mut store: Store, validation: ValidationMode) -> Self {
+    /// spawns the background snapshot worker: a commit that makes the
+    /// cadence due hands the already-published `Arc` snapshot to the
+    /// worker, which dumps it off the commit path.
+    pub fn with_validation(store: Store, validation: ValidationMode) -> Self {
         let space = store.db().space();
         let next_serial = store
             .db()
@@ -497,18 +502,10 @@ impl MvccStore {
             .max()
             .map_or(0, |m| m + 1);
         let wants_worker = store.durability_mode() == DurabilityMode::WalWithSnapshots;
-        store.set_deferred_snapshots(wants_worker);
-        let mut mirror = store.detached_clone();
-        // The mirror never feeds the incremental pipeline directly;
-        // keeping its private touched log off stops it growing
-        // unboundedly when the canonical store tracks ids.
-        mirror.track_touched(false);
-        let mirror = Arc::new(mirror);
+        let snapshot = publishable(&store);
         let versions: Arc<FxHashMap<Item, u64>> = Arc::new(FxHashMap::default());
         let committed = Arc::new(Mutex::new(Committed {
-            grouped: store.group_commit().is_grouped(),
             store,
-            mirror: Arc::clone(&mirror),
             versions: Arc::clone(&versions),
             ts: 0,
             history: None,
@@ -519,7 +516,7 @@ impl MvccStore {
                 committed,
                 published: RwLock::new(Published {
                     ts: 0,
-                    snapshot: mirror,
+                    snapshot,
                     versions,
                 }),
                 validation,
@@ -612,11 +609,12 @@ impl MvccStore {
     /// with the snapshot those ids are consistent with — the
     /// incremental-pipeline entry point for shared stores (both sides
     /// taken under the commit mutex, so no commit can slip between
-    /// them).
+    /// them; the published snapshot is read under it too, the lock
+    /// order [`MvccTxn::commit`] uses).
     pub fn drain_touched(&self) -> (Arc<Store>, Vec<ObjectId>) {
         let mut c = lock(&self.inner.committed);
         let touched = c.store.take_touched();
-        (Arc::clone(&c.mirror), touched)
+        (self.read_view(), touched)
     }
 
     /// The canonical store's durability mode.
@@ -639,15 +637,11 @@ impl MvccStore {
     }
 
     /// Sets the group-commit policy (see [`Store::set_group_commit`]):
-    /// with a grouped policy, concurrent committers share one
-    /// `sync_data` per batch and block only for the covering sync —
-    /// outside the commit mutex, so the batch forms.
+    /// committers block only for the covering sync — outside the commit
+    /// mutex, so under a grouped policy the batch forms and concurrent
+    /// committers share one `sync_data`.
     pub fn set_group_commit(&self, policy: GroupCommitPolicy) {
-        let mut c = lock(&self.inner.committed);
-        c.store.set_group_commit(policy);
-        // Read back what actually took effect: a volatile store ignores
-        // the policy, and then so does the commit path.
-        c.grouped = c.store.group_commit().is_grouped();
+        lock(&self.inner.committed).store.set_group_commit(policy);
     }
 
     /// The group-commit policy in effect.
@@ -714,9 +708,8 @@ impl MvccStore {
 
     /// Unwraps the canonical store when this is the last handle;
     /// returns the handle unchanged otherwise. Shuts the background
-    /// snapshot worker down first (draining every queued snapshot), and
-    /// hands the cadence back to the inline path of the single-threaded
-    /// store.
+    /// snapshot worker down first (draining every queued snapshot); the
+    /// returned store runs due cadence snapshots inline again.
     pub fn into_store(self) -> Result<Store, MvccStore> {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => {
@@ -728,12 +721,11 @@ impl MvccStore {
                 // Joins the worker, which drains its queue first — so
                 // its `Arc` clone of `committed` is gone afterwards.
                 drop(snapshots);
-                let mut store = Arc::try_unwrap(committed)
+                let store = Arc::try_unwrap(committed)
                     .unwrap_or_else(|_| unreachable!("worker joined; no other holder remains"))
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
                     .store;
-                store.set_deferred_snapshots(false);
                 Ok(store)
             }
             Err(inner) => Err(MvccStore { inner }),
@@ -927,17 +919,9 @@ impl MvccTxn {
     /// at their snapshot position by construction and skip validation
     /// entirely.
     pub fn commit(self) -> Result<u64, CommitError> {
-        let (ts, ack) = self.commit_start()?;
         // Only now — commit mutex released, later committers free to
-        // join the batch — wait for the covering sync. `Err` means the
-        // commit stands in memory but may not survive a crash; the log
-        // is poisoned, so nothing later is acknowledged either.
-        if let Some(ack) = ack {
-            if let Err(error) = ack.wait() {
-                return Err(CommitError::SyncFailed { ts, error });
-            }
-        }
-        Ok(ts)
+        // join the batch — wait for the covering sync.
+        self.commit_pipelined()?.wait()
     }
 
     /// Validates and commits like [`MvccTxn::commit`], but does **not**
@@ -954,15 +938,9 @@ impl MvccTxn {
     /// may lose it (together with everything after it, never anything
     /// before — recovery still lands on a commit-order prefix).
     /// Dropping the ticket forfeits the acknowledgement, nothing else.
+    /// [`MvccTxn::commit`] is this plus an immediate wait: the ticket
+    /// carries the ack out of the commit mutex.
     pub fn commit_pipelined(self) -> Result<CommitTicket, CommitError> {
-        let (ts, ack) = self.commit_start()?;
-        Ok(CommitTicket { ts, ack })
-    }
-
-    /// Shared commit path: everything up to (not including) the wait
-    /// for the covering sync. Returns the commit timestamp and the WAL
-    /// ack to wait on, if the store is durable and grouped.
-    fn commit_start(self) -> Result<(u64, Option<WalAck>), CommitError> {
         let MvccTxn {
             store,
             begin_ts,
@@ -988,7 +966,10 @@ impl MvccTxn {
                     queries,
                 });
             }
-            return Ok((begin_ts, None));
+            return Ok(CommitTicket {
+                ts: begin_ts,
+                ack: None,
+            });
         }
 
         // 1. First-committer-wins on the object write set.
@@ -1018,11 +999,10 @@ impl MvccTxn {
         }
 
         // 3. Re-commit through the canonical store: full constraint
-        // enforcement plus the WAL `Begin…Commit` bracket. Under a
-        // grouped policy the run is only buffered — the covering
-        // `sync_data` is the group leader's, and this committer waits
-        // for it *after* releasing the commit mutex, so the batch can
-        // form while it publishes.
+        // enforcement plus the WAL `Begin…Commit` bracket. The run is
+        // only buffered — the covering `sync_data` is the group
+        // leader's, and this committer waits for it *after* releasing
+        // the commit mutex, so a batch can form while it publishes.
         // The canonical pass consumes an owned op list; keep the
         // original around only if the history recorder needs it.
         let mut ops = ops;
@@ -1031,20 +1011,9 @@ impl MvccTxn {
         } else {
             std::mem::take(&mut ops)
         };
-        let ack = if c.grouped {
-            match Transaction::from_ops(canonical_ops).commit_deferred(&mut c.store) {
-                (TxnOutcome::RolledBack { failed_at, error }, _) => {
-                    return Err(CommitError::Rejected { failed_at, error });
-                }
-                (TxnOutcome::Committed { .. }, ack) => ack,
-            }
-        } else {
-            match Transaction::from_ops(canonical_ops).commit(&mut c.store) {
-                TxnOutcome::RolledBack { failed_at, error } => {
-                    return Err(CommitError::Rejected { failed_at, error });
-                }
-                TxnOutcome::Committed { .. } => None,
-            }
+        let ack = match Transaction::from_ops(canonical_ops).commit_inner(&mut c.store) {
+            Ok((ack, _undo)) => ack,
+            Err((failed_at, error)) => return Err(CommitError::Rejected { failed_at, error }),
         };
 
         // 4. Stamp versions and publish a fresh snapshot.
@@ -1062,13 +1031,10 @@ impl MvccTxn {
                 writes.push(Item::Class(cl.clone()));
             }
         }
-        // Publish a fresh snapshot of the canonical store. Cloning is
-        // cheap by construction — the database shares its schema and
-        // objects behind `Arc`s — so re-cloning every commit beats
-        // maintaining a copy-on-write mirror by re-applying the ops.
-        let mut fresh = c.store.detached_clone();
-        fresh.track_touched(false);
-        c.mirror = Arc::new(fresh);
+        // Publish a fresh snapshot of the canonical store. The clone
+        // shares objects behind `Arc`s but copies the object, extent
+        // and index maps — O(N) in the database size per commit.
+        let snapshot = publishable(&c.store);
         if let Some(h) = &mut c.history {
             h.push(TxnRecord {
                 txn: h.len(),
@@ -1080,19 +1046,19 @@ impl MvccTxn {
                 queries,
             });
         }
-        let published = Published {
-            ts,
-            snapshot: Arc::clone(&c.mirror),
-            versions: Arc::clone(&c.versions),
-        };
         // If the cadence fell due on this commit, capture the snapshot
-        // job (sealing the active segment) together with the mirror —
-        // which is exactly the extension at the job's watermark — for
+        // job (sealing the active segment) together with the published
+        // snapshot — exactly the extension at the job's watermark — for
         // the background worker.
         let snapshot_job = c
             .store
             .take_snapshot_job()
-            .map(|job| (job, Arc::clone(&c.mirror)));
+            .map(|job| (job, Arc::clone(&snapshot)));
+        let published = Published {
+            ts,
+            snapshot,
+            versions: Arc::clone(&c.versions),
+        };
         // Publish while still holding the commit mutex, so snapshots
         // become visible in commit order.
         *inner
@@ -1105,7 +1071,7 @@ impl MvccTxn {
                 w.submit(job, snap);
             }
         }
-        Ok((ts, ack))
+        Ok(CommitTicket { ts, ack })
     }
 }
 
@@ -1133,8 +1099,10 @@ impl CommitTicket {
     }
 
     /// Blocks until the commit is durable and returns its timestamp.
-    /// For volatile or non-grouped stores the commit was already as
-    /// durable as it will ever be, and this returns immediately.
+    /// For volatile stores and read-only commits there is nothing to
+    /// wait for, and this returns immediately. `Err` means the commit
+    /// stands in memory but may not survive a crash; the log is
+    /// latched, so nothing later is acknowledged either.
     pub fn wait(self) -> Result<u64, CommitError> {
         if let Some(ack) = &self.ack {
             if let Err(error) = ack.wait() {
@@ -1152,5 +1120,61 @@ impl fmt::Debug for MvccTxn {
             .field("ops", &self.ops.len())
             .field("reads", &self.reads.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use interop_constraint::Catalog;
+    use interop_model::{ClassDef, Database, Schema, Type};
+
+    #[test]
+    fn sync_fault_fails_an_mvcc_commit_under_the_default_policy() {
+        let dir =
+            std::env::temp_dir().join(format!("interop-syncfault-{}-mvcc", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::new("Shop", vec![ClassDef::new("Item").attr("v", Type::Int)]).unwrap();
+        let durable = Store::open(
+            Database::new(schema, 1),
+            Catalog::new(),
+            &dir,
+            DurabilityMode::Wal,
+        )
+        .unwrap();
+        let store = MvccStore::new(durable);
+        assert_eq!(store.group_commit(), GroupCommitPolicy::default());
+        let mut t = store.begin();
+        let id = t.create("Item", vec![("v", 1i64.into())]).unwrap();
+        assert_eq!(t.commit(), Ok(1));
+        lock(&store.inner.committed)
+            .store
+            .wal_group()
+            .unwrap()
+            .fail_sync_at(2);
+
+        let mut t = store.begin();
+        t.update(id, "v", Value::int(2)).unwrap();
+        let err = t.commit().unwrap_err();
+        assert!(
+            matches!(err, CommitError::SyncFailed { ts: 2, .. }),
+            "{err:?}"
+        );
+        assert_eq!(store.last_commit_ts(), 2, "published before its sync");
+
+        let mut t = store.begin();
+        t.update(id, "v", Value::int(3)).unwrap();
+        let err = t.commit().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CommitError::Rejected {
+                    error: StoreError::Durability(_),
+                    ..
+                }
+            ),
+            "the latched log refuses the next commit: {err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

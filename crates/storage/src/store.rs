@@ -26,7 +26,7 @@ use crate::index::{CompositeIndex, HashIndex, IndexSet, KeyIndex, SortedIndex};
 use crate::snapshot;
 use crate::stats::{AttrStats, PairSketch};
 use crate::wal::{
-    self, DurabilityError, GroupCommitPolicy, SealedSegment, SegmentedWal, WalRecord,
+    self, DurabilityError, GroupCommitPolicy, SealedSegment, SegmentedWal, WalAck, WalRecord,
 };
 
 /// Errors from store operations.
@@ -58,15 +58,23 @@ pub enum StoreError {
         /// The object already holding the key.
         holder: ObjectId,
     },
-    /// The durability layer failed **before** anything reached the log
-    /// (WAL append, or an explicit [`Store::snapshot_now`]). The
-    /// in-memory state of the failing operation is decided by the call
-    /// site: single store operations stay applied (memory runs ahead of
-    /// the log, reported loudly); transaction commits roll back so
-    /// memory and log agree. A failure *after* the commit is durable —
-    /// the automatic snapshot cadence — never surfaces here: the commit
-    /// stands and the error is reported via
-    /// [`Store::take_snapshot_error`].
+    /// The durability layer failed: a WAL append, its covering sync, or
+    /// an explicit [`Store::snapshot_now`]. A failed sync latches the
+    /// log (see [`crate::wal`]), so every later durable write fails too.
+    /// What the caller sees:
+    ///
+    /// * a single store operation returns this error and stays applied
+    ///   in memory (memory runs ahead of the log, reported loudly);
+    /// * [`crate::Transaction::commit`] undoes its operations and
+    ///   returns `RolledBack` with this error;
+    /// * an MVCC commit or ticket reports
+    ///   [`crate::CommitError::SyncFailed`] for a failed sync (its
+    ///   commit is already published), or `Rejected` with this error
+    ///   when the append itself is refused.
+    ///
+    /// A failure *after* the commit is durable — the automatic snapshot
+    /// cadence — never surfaces here: the commit stands and the error
+    /// is reported via [`Store::take_snapshot_error`].
     Durability(DurabilityError),
 }
 
@@ -166,12 +174,9 @@ struct DurabilityState {
     txns_since_snapshot: u64,
     /// Snapshot cadence (`WalWithSnapshots` only).
     snapshot_every: u64,
-    /// When true the snapshot cadence only raises `snapshot_due`
-    /// instead of dumping inline in the commit path; an owner (the MVCC
-    /// layer's background worker) drains the flag via
-    /// [`Store::take_snapshot_job`] and writes the snapshot off-thread.
-    deferred_snapshots: bool,
-    /// Raised by the cadence in deferred mode; cleared at job capture.
+    /// Raised when the cadence falls due; cleared by a successful
+    /// inline snapshot ([`Store::run_due_snapshot`]) or at job capture
+    /// ([`Store::take_snapshot_job`]).
     snapshot_due: bool,
     /// The **first** error among failed *automatic* snapshots since the
     /// last [`Store::take_snapshot_error`] poll — later failures bump
@@ -183,6 +188,45 @@ struct DurabilityState {
     snapshot_error: Option<DurabilityError>,
     /// Failed automatic snapshot attempts since the last poll.
     snapshot_failures: u64,
+}
+
+impl DurabilityState {
+    /// Appends `deltas` as the next committed transaction's
+    /// `Begin … Commit` run and counts it towards the snapshot cadence;
+    /// the ack is the caller's to wait on.
+    fn log_commit(
+        &mut self,
+        deltas: impl ExactSizeIterator<Item = WalRecord>,
+    ) -> Result<WalAck, DurabilityError> {
+        let seq = self.txn_seq + 1;
+        let mut frames = Vec::with_capacity(deltas.len() + 2);
+        frames.push(WalRecord::Begin { seq });
+        frames.extend(deltas);
+        frames.push(WalRecord::Commit { seq });
+        let ack = self.wal.append_run(&frames, seq)?;
+        self.txn_seq = seq;
+        if self.mode == DurabilityMode::WalWithSnapshots {
+            self.txns_since_snapshot += 1;
+            self.snapshot_due |= self.txns_since_snapshot >= self.snapshot_every;
+        }
+        Ok(ack)
+    }
+
+    /// Records one failed automatic-snapshot attempt: the first error
+    /// is kept, every attempt is counted.
+    fn note_snapshot_failure(&mut self, e: DurabilityError) {
+        self.snapshot_failures += 1;
+        self.snapshot_error.get_or_insert(e);
+    }
+
+    /// Appends a best-effort marker and waits on its ack; a lost marker
+    /// costs recovery only a conservative resume point.
+    fn log_marker(&mut self, rec: WalRecord) {
+        let _ = self
+            .wal
+            .append_run(&[rec], self.txn_seq)
+            .and_then(|ack| ack.wait());
+    }
 }
 
 /// What a deferred (background) snapshot must persist: captured under
@@ -570,8 +614,7 @@ impl Store {
                 break;
             }
         }
-        // Fresh directories start at segment 1 (`wal.log` is the legacy
-        // segment 0, still readable above).
+        // Fresh directories start at segment 1.
         let (active_seq, valid_len) = boundary.unwrap_or((1, 0));
         // Segments past the boundary hold only discarded bytes.
         let mut removed_any = false;
@@ -608,7 +651,6 @@ impl Store {
             pending: Vec::new(),
             txns_since_snapshot: 0,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            deferred_snapshots: false,
             snapshot_due: false,
             snapshot_error: None,
             snapshot_failures: 0,
@@ -716,21 +758,18 @@ impl Store {
         })
     }
 
-    /// Records one failed automatic-snapshot attempt: the first error
-    /// is kept, every attempt is counted.
+    /// Records one failed automatic-snapshot attempt.
     pub(crate) fn note_snapshot_failure(&mut self, e: DurabilityError) {
         if let Some(d) = self.durability.as_deref_mut() {
-            d.snapshot_failures += 1;
-            if d.snapshot_error.is_none() {
-                d.snapshot_error = Some(e);
-            }
+            d.note_snapshot_failure(e);
         }
     }
 
     /// Appends one committed single-operation transaction (`Begin`,
-    /// `rec`, `Commit`) to the WAL — or, inside an explicit
-    /// transaction, buffers `rec` until [`Store::wal_txn_commit`].
-    /// No-op when durability is off.
+    /// `rec`, `Commit`) to the WAL, waits on its ack and runs a due
+    /// cadence snapshot — or, inside an explicit transaction, buffers
+    /// `rec` until [`Store::wal_txn_commit`]. No-op when durability is
+    /// off.
     fn wal_op(&mut self, rec: WalRecord) -> Result<(), StoreError> {
         let Some(d) = self.durability.as_deref_mut() else {
             return Ok(());
@@ -739,53 +778,24 @@ impl Store {
             d.pending.push(rec);
             return Ok(());
         }
-        let seq = d.txn_seq + 1;
-        d.wal.append_run_synced(
-            &[WalRecord::Begin { seq }, rec, WalRecord::Commit { seq }],
-            seq,
-        )?;
-        d.txn_seq = seq;
-        self.note_committed_txn();
+        d.log_commit([rec].into_iter())?.wait()?;
+        self.run_due_snapshot();
         Ok(())
     }
 
-    /// Post-commit bookkeeping: counts the transaction towards the
-    /// snapshot cadence and snapshots when it is reached — inline here,
-    /// or by raising `snapshot_due` for the background worker when
-    /// deferred snapshots are on. Infallible by design — the
-    /// transaction is already durable in the WAL when this runs, so a
-    /// snapshot failure must not propagate into the commit path (a
-    /// caller would roll memory back while the log keeps the commit,
-    /// and replay would diverge on reopen). The error is stashed for
-    /// [`Store::take_snapshot_error`]; the unreset cadence counter
-    /// retries the snapshot on the next commit.
-    fn note_committed_txn(&mut self) {
-        let Some(d) = self.durability.as_deref_mut() else {
-            return;
-        };
-        if d.mode != DurabilityMode::WalWithSnapshots {
-            return;
-        }
-        d.txns_since_snapshot += 1;
-        if d.txns_since_snapshot < d.snapshot_every {
-            return;
-        }
-        if d.deferred_snapshots {
-            d.snapshot_due = true;
-            return;
-        }
-        if let Err(e) = self.snapshot_inner() {
-            self.note_snapshot_failure(e);
-        }
-    }
-
-    /// Switches the snapshot cadence between inline (the commit path
-    /// dumps the extension itself) and deferred (the cadence only
-    /// raises a flag for [`Store::take_snapshot_job`]). The MVCC layer
-    /// turns this on when it owns a background snapshot worker.
-    pub(crate) fn set_deferred_snapshots(&mut self, on: bool) {
-        if let Some(d) = self.durability.as_deref_mut() {
-            d.deferred_snapshots = on;
+    /// Runs a due cadence snapshot inline, after the commit that made
+    /// it due is acknowledged. Infallible by design — the transaction
+    /// is already durable in the WAL when this runs, so a snapshot
+    /// failure must not propagate into the commit path (a caller would
+    /// roll memory back while the log keeps the commit, and replay
+    /// would diverge on reopen). The error is stashed for
+    /// [`Store::take_snapshot_error`]; the flag stays raised, so the
+    /// next commit retries.
+    pub(crate) fn run_due_snapshot(&mut self) {
+        if self.durability.as_deref().is_some_and(|d| d.snapshot_due) {
+            if let Err(e) = self.snapshot_inner() {
+                self.note_snapshot_failure(e);
+            }
         }
     }
 
@@ -810,10 +820,7 @@ impl Store {
             if let Err(e) = d.wal.rotate() {
                 // The snapshot never started; count it as a failed
                 // attempt and let the cadence retry.
-                d.snapshot_failures += 1;
-                if d.snapshot_error.is_none() {
-                    d.snapshot_error = Some(e);
-                }
+                d.note_snapshot_failure(e);
                 return None;
             }
         }
@@ -835,32 +842,35 @@ impl Store {
             return;
         };
         if let Err(e) = d.wal.prune_sealed(seqs) {
-            d.snapshot_failures += 1;
-            if d.snapshot_error.is_none() {
-                d.snapshot_error = Some(e);
-            }
+            d.note_snapshot_failure(e);
         }
     }
 
-    /// Sets the group-commit policy (how commits share fsyncs). The
-    /// default syncs every commit before acknowledging it. Grouping
-    /// takes effect for concurrent MVCC committers, whose
-    /// acknowledgement can wait outside the commit path; the plain
-    /// single-writer store always syncs before returning (there is
-    /// nobody to share the sync with, so dwelling would only add
-    /// latency). No effect when durability is off.
+    /// Sets the group-commit policy (how commits share fsyncs). Every
+    /// commit takes the same path — append, then wait on the ack — and
+    /// the default policy is a group of one. The plain store's mutators
+    /// wait at once, so a dwelling policy only adds latency to a single
+    /// writer; sharing a sync needs concurrent MVCC committers, whose
+    /// waits happen outside the commit mutex. No effect when durability
+    /// is off.
     pub fn set_group_commit(&mut self, policy: GroupCommitPolicy) {
         if let Some(d) = self.durability.as_deref() {
             d.wal.group().set_policy(policy);
         }
     }
 
-    /// The group-commit policy in effect (the sync-per-commit default
-    /// when durability is off).
+    /// The group-commit policy in effect (the default when durability
+    /// is off).
     pub fn group_commit(&self) -> GroupCommitPolicy {
         self.durability
             .as_deref()
             .map_or_else(GroupCommitPolicy::default, |d| d.wal.group().policy())
+    }
+
+    /// The WAL's sync coordinator, for the sync-fault tests.
+    #[cfg(test)]
+    pub(crate) fn wal_group(&self) -> Option<&Arc<wal::GroupSync>> {
+        self.durability.as_deref().map(|d| d.wal.group())
     }
 
     /// Sets the WAL segment rotation threshold in bytes (clamped to at
@@ -881,50 +891,13 @@ impl Store {
     }
 
     /// Closes the bracket successfully: appends the buffered deltas as
-    /// one contiguous `Begin … Commit` run (nothing, for an empty
-    /// transaction). On append failure the transaction is **not**
-    /// durable; the caller must roll the in-memory state back so memory
-    /// and log agree. `Err` is returned **only** for append failures:
-    /// once the append succeeds the transaction is committed for good,
-    /// and post-commit work (the snapshot cadence) runs best-effort.
-    pub(crate) fn wal_txn_commit(&mut self) -> Result<(), StoreError> {
-        let Some(d) = self.durability.as_deref_mut() else {
-            return Ok(());
-        };
-        if !d.in_txn {
-            return Ok(());
-        }
-        d.in_txn = false;
-        let pending = std::mem::take(&mut d.pending);
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let seq = d.txn_seq + 1;
-        let mut frames = Vec::with_capacity(pending.len() + 2);
-        frames.push(WalRecord::Begin { seq });
-        frames.extend(pending);
-        frames.push(WalRecord::Commit { seq });
-        d.wal.append_run_synced(&frames, seq)?;
-        d.txn_seq = seq;
-        self.note_committed_txn();
-        Ok(())
-    }
-
-    /// The group-commit variant of [`Store::wal_txn_commit`]: the run
-    /// is buffered into the log and the covering `sync_data` is left to
-    /// the group leader — the returned ack blocks until it lands.
-    /// `Ok(None)` means there was nothing to log (no durability, no
-    /// bracket, or an empty transaction).
-    ///
-    /// The contract differs from the synced variant in one way: once
-    /// this returns `Ok`, the transaction **cannot be rolled back** —
-    /// its frames sit in the file ahead of later committers' frames, so
-    /// a failure of the covering sync is reported through
-    /// [`wal::WalAck::wait`] (and poisons the log against further
-    /// appends) while the in-memory commit stands, exactly like the
-    /// loudly-reported memory-runs-ahead semantics of single-op
-    /// durability failures.
-    pub(crate) fn wal_txn_commit_deferred(&mut self) -> Result<Option<wal::WalAck>, StoreError> {
+    /// one contiguous `Begin … Commit` run and returns its ack **without
+    /// waiting** — the caller decides who waits, and who runs a due
+    /// cadence snapshot. `Ok(None)` means there was nothing to log (no
+    /// durability, no bracket, or an empty transaction). On append
+    /// failure the transaction is **not** in the log; the caller must
+    /// roll the in-memory state back so memory and log agree.
+    pub(crate) fn wal_txn_commit(&mut self) -> Result<Option<WalAck>, StoreError> {
         let Some(d) = self.durability.as_deref_mut() else {
             return Ok(None);
         };
@@ -936,15 +909,7 @@ impl Store {
         if pending.is_empty() {
             return Ok(None);
         }
-        let seq = d.txn_seq + 1;
-        let mut frames = Vec::with_capacity(pending.len() + 2);
-        frames.push(WalRecord::Begin { seq });
-        frames.extend(pending);
-        frames.push(WalRecord::Commit { seq });
-        let ack = d.wal.append_run(&frames, seq)?;
-        d.txn_seq = seq;
-        self.note_committed_txn();
-        Ok(Some(ack))
+        Ok(Some(d.log_commit(pending.into_iter())?))
     }
 
     /// Closes the bracket after a rollback: the buffered deltas (and
@@ -955,7 +920,7 @@ impl Store {
         if let Some(d) = self.durability.as_deref_mut() {
             d.in_txn = false;
             d.pending.clear();
-            let _ = d.wal.append_run_synced(&[WalRecord::Rollback], d.txn_seq);
+            d.log_marker(WalRecord::Rollback);
         }
     }
 
@@ -1073,9 +1038,7 @@ impl Store {
         // marker only costs the next open a conservative tracking
         // state, never correctness of the data itself.
         if let Some(d) = self.durability.as_deref_mut() {
-            let _ = d
-                .wal
-                .append_run_synced(&[WalRecord::TrackTouched { on }], d.txn_seq);
+            d.log_marker(WalRecord::TrackTouched { on });
         }
     }
 
@@ -1094,9 +1057,7 @@ impl Store {
         // pipeline then re-examines and finds unchanged — safe.
         if !out.is_empty() {
             if let Some(d) = self.durability.as_deref_mut() {
-                let _ = d
-                    .wal
-                    .append_run_synced(&[WalRecord::TouchedDrain], d.txn_seq);
+                d.log_marker(WalRecord::TouchedDrain);
             }
         }
         out
@@ -2239,5 +2200,130 @@ mod tests {
             s.lookup_key(&ClassName::new("Item"), &[Value::str("A")]),
             None
         );
+    }
+
+    fn shop() -> Database {
+        let schema = Schema::new(
+            "Shop",
+            vec![ClassDef::new("Item")
+                .attr("k", Type::Str)
+                .attr("v", Type::Range(0, 100))],
+        )
+        .unwrap();
+        Database::new(schema, 1)
+    }
+
+    fn durable(dir: &Path, mode: DurabilityMode) -> Store {
+        let mut s = Store::open(shop(), Catalog::new(), dir, mode).unwrap();
+        s.set_snapshot_every(5);
+        s
+    }
+
+    fn fault_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("interop-syncfault-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn objects(s: &Store) -> Vec<Object> {
+        s.db().objects().cloned().collect()
+    }
+
+    fn item(serial: u64, v: i64) -> Object {
+        Object::new(ObjectId::new(1, serial), ClassName::new("Item"))
+            .with("k", format!("k{serial}").as_str())
+            .with("v", v)
+    }
+
+    #[test]
+    fn sync_fault_rolls_a_plain_transaction_back_and_latches() {
+        use crate::txn::{Transaction, TxnOutcome};
+        let dir = fault_dir("txn");
+        let mut s = durable(&dir, DurabilityMode::Wal);
+        s.insert(item(1, 1)).unwrap();
+        s.wal_group().unwrap().fail_sync_at(2);
+        let before = objects(&s);
+        let outcome = Transaction::new()
+            .update(ObjectId::new(1, 1), "v", Value::int(2))
+            .insert(item(2, 2))
+            .commit(&mut s);
+        assert!(
+            matches!(
+                outcome,
+                TxnOutcome::RolledBack {
+                    failed_at: 2,
+                    error: StoreError::Durability(_)
+                }
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(objects(&s), before, "memory is back at the pre-txn state");
+        assert!(
+            matches!(s.insert(item(3, 3)), Err(StoreError::Durability(_))),
+            "the latched log refuses the next insert"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Step `i` of the fixed 12-commit script: single-op mutators and
+    /// multi-op transactions, each one committed WAL run (one sync).
+    fn script_step(s: &mut Store, i: u64) -> Result<(), StoreError> {
+        use crate::txn::{Transaction, TxnOutcome};
+        let id = |serial| ObjectId::new(1, serial);
+        match i {
+            0..=3 => s.insert(item(i + 1, i as i64)),
+            4 | 8 => s.update(id(i / 4), "v", Value::int(40 + i as i64)),
+            7 => s.remove(id(3)).map(drop),
+            _ => match Transaction::new()
+                .insert(item(10 + i, 1))
+                .update(id(2), "v", Value::int(i as i64))
+                .commit(s)
+            {
+                TxnOutcome::Committed { .. } => Ok(()),
+                TxnOutcome::RolledBack { error, .. } => Err(error),
+            },
+        }
+    }
+
+    /// Fail the k-th sync for every k the script issues (each commit
+    /// is one sync, so k = 13 is the first clean run); the reopened
+    /// store must hold a commit-order prefix of the script that
+    /// contains every acknowledged commit.
+    #[test]
+    fn sync_fault_sweep_recovers_an_acknowledged_prefix() {
+        const STEPS: u64 = 12;
+        let mut oracle = Store::new(shop(), Catalog::new());
+        let mut prefixes = vec![objects(&oracle)];
+        for i in 0..STEPS {
+            script_step(&mut oracle, i).unwrap();
+            prefixes.push(objects(&oracle));
+        }
+        for mode in [DurabilityMode::Wal, DurabilityMode::WalWithSnapshots] {
+            for k in 1..=STEPS + 1 {
+                let dir = fault_dir(&format!("sweep-{k}"));
+                let mut s = durable(&dir, mode);
+                s.wal_group().unwrap().fail_sync_at(k);
+                let ok: Vec<bool> = (0..STEPS).map(|i| script_step(&mut s, i).is_ok()).collect();
+                let acked = ok.iter().take_while(|ok| **ok).count();
+                assert_eq!(
+                    acked as u64,
+                    (k - 1).min(STEPS),
+                    "{mode:?}: acked up to the fault"
+                );
+                assert!(
+                    ok[acked..].iter().all(|ok| !ok),
+                    "{mode:?}: the latched log fails every later commit"
+                );
+                drop(s);
+                let recovered = objects(&durable(&dir, mode));
+                let p = prefixes.iter().position(|state| *state == recovered);
+                assert!(
+                    p.is_some_and(|p| p >= acked),
+                    "{mode:?} k={k}: recovered prefix {p:?}, acked {acked}"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

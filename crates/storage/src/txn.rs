@@ -155,57 +155,36 @@ impl Transaction {
     /// log as **one contiguous `Begin … Commit` run, appended only on
     /// success**: per-operation deltas are buffered while the
     /// transaction runs, a rollback discards them (crash recovery then
-    /// sees nothing of the transaction), and a WAL append failure rolls
-    /// the in-memory state back too, so memory never claims a commit
-    /// the log doesn't hold.
+    /// sees nothing of the transaction), and a failed WAL append or
+    /// covering sync rolls the in-memory state back too, so memory
+    /// never claims a commit the log has not acknowledged. A due
+    /// cadence snapshot runs after the acknowledgement.
     pub fn commit(self, store: &mut Store) -> TxnOutcome {
-        self.commit_inner(store, false).0
+        let (ack, undo) = match self.commit_inner(store) {
+            Ok(applied) => applied,
+            Err((failed_at, error)) => return TxnOutcome::RolledBack { failed_at, error },
+        };
+        let applied = undo.len();
+        if let Some(Err(e)) = ack.as_ref().map(WalAck::wait) {
+            roll_back(store, undo);
+            return TxnOutcome::RolledBack {
+                failed_at: applied,
+                error: e.into(),
+            };
+        }
+        store.run_due_snapshot();
+        TxnOutcome::Committed { applied }
     }
 
-    /// The group-commit variant of [`Transaction::commit`]: identical
-    /// up to the WAL append, but the run is only *buffered* into the
-    /// log — the covering `sync_data` is left to the group-commit
-    /// leader, and the returned [`WalAck`] (present only when
-    /// durability actually logged something) blocks until it lands.
-    ///
-    /// An **append** failure still rolls the in-memory state back,
-    /// exactly like [`Transaction::commit`]. A failure of the deferred
-    /// sync, by contrast, is reported through [`WalAck::wait`] while
-    /// the in-memory commit stands — the frames sit in the file ahead
-    /// of later committers' frames, so they cannot be truncated away;
-    /// the MVCC layer surfaces this as a loud commit error.
-    pub(crate) fn commit_deferred(self, store: &mut Store) -> (TxnOutcome, Option<WalAck>) {
-        self.commit_inner(store, true)
-    }
-
-    fn commit_inner(self, store: &mut Store, deferred: bool) -> (TxnOutcome, Option<WalAck>) {
-        /// A recorded inverse operation, applied newest-first on
-        /// rollback. A plain enum (not a boxed closure) keeps the
-        /// commit hot path free of one heap allocation per operation.
-        enum Undo {
-            Insert(ObjectId),
-            Update {
-                id: ObjectId,
-                attr: AttrName,
-                old: Value,
-            },
-            Delete(Object),
-        }
-        impl Undo {
-            fn apply(self, s: &mut Store) {
-                match self {
-                    Undo::Insert(id) => {
-                        s.remove(id).ok();
-                    }
-                    Undo::Update { id, attr, old } => {
-                        s.update(id, attr, old).ok();
-                    }
-                    Undo::Delete(obj) => {
-                        s.insert(obj).ok();
-                    }
-                }
-            }
-        }
+    /// Applies the operations and appends the WAL run without waiting
+    /// on it: returns the ack (if anything was logged) and the undo log
+    /// of the applied operations, or the failing index and error after
+    /// rolling back. The MVCC commit path calls this under its commit
+    /// mutex and waits on the ack after releasing it.
+    pub(crate) fn commit_inner(
+        self,
+        store: &mut Store,
+    ) -> Result<(Option<WalAck>, Vec<Undo>), (usize, StoreError)> {
         store.wal_txn_begin();
         let mut undo: Vec<Undo> = Vec::new();
         for (i, op) in self.ops.into_iter().enumerate() {
@@ -228,50 +207,57 @@ impl Transaction {
             match result {
                 Ok(u) => undo.push(u),
                 Err(error) => {
-                    // Undo mutations push their inverse deltas into the
-                    // still-open WAL bracket; the rollback below throws
-                    // the whole bracket away, so nothing of this
-                    // transaction reaches the log.
-                    for u in undo.into_iter().rev() {
-                        u.apply(store);
-                    }
-                    store.wal_txn_rollback();
-                    return (
-                        TxnOutcome::RolledBack {
-                            failed_at: i,
-                            error,
-                        },
-                        None,
-                    );
+                    roll_back(store, undo);
+                    return Err((i, error));
                 }
             }
         }
-        let applied = undo.len();
-        let finish = if deferred {
-            store.wal_txn_commit_deferred()
-        } else {
-            store.wal_txn_commit().map(|()| None)
-        };
-        match finish {
-            Ok(ack) => (TxnOutcome::Committed { applied }, ack),
+        match store.wal_txn_commit() {
+            Ok(ack) => Ok((ack, undo)),
             Err(error) => {
                 // The log refused the transaction: roll memory back so
                 // the two agree, and report the durability failure.
-                store.wal_txn_begin();
-                for u in undo.into_iter().rev() {
-                    u.apply(store);
-                }
-                store.wal_txn_rollback();
-                (
-                    TxnOutcome::RolledBack {
-                        failed_at: applied,
-                        error,
-                    },
-                    None,
-                )
+                let applied = undo.len();
+                roll_back(store, undo);
+                Err((applied, error))
             }
         }
     }
+}
+
+/// A recorded inverse operation, applied newest-first on rollback. A
+/// plain enum (not a boxed closure) keeps the commit hot path free of
+/// one heap allocation per operation.
+pub(crate) enum Undo {
+    Insert(ObjectId),
+    Update {
+        id: ObjectId,
+        attr: AttrName,
+        old: Value,
+    },
+    Delete(Object),
+}
+
+/// Undoes `undo` newest-first inside a fresh WAL bracket, then discards
+/// the bracket: the undo mutations push their inverse deltas into it,
+/// so nothing of the transaction reaches the log beyond a best-effort
+/// `Rollback` marker.
+fn roll_back(store: &mut Store, undo: Vec<Undo>) {
+    store.wal_txn_begin();
+    for u in undo.into_iter().rev() {
+        match u {
+            Undo::Insert(id) => {
+                store.remove(id).ok();
+            }
+            Undo::Update { id, attr, old } => {
+                store.update(id, attr, old).ok();
+            }
+            Undo::Delete(obj) => {
+                store.insert(obj).ok();
+            }
+        }
+    }
+    store.wal_txn_rollback();
 }
 
 #[cfg(test)]

@@ -31,8 +31,7 @@
 //!
 //! # Segments
 //!
-//! The log is a sequence of files `wal-{seq:020}.log` ([`SegmentedWal`]);
-//! the pre-rotation layout's single `wal.log` is still read as segment 0.
+//! The log is a sequence of files `wal-{seq:020}.log` ([`SegmentedWal`]).
 //! Appends go to the highest (*active*) segment; when it crosses the
 //! size threshold it is *sealed* — one final `sync_data`, so every byte
 //! of a sealed segment is durable by construction — and the next
@@ -45,21 +44,33 @@
 //! transactions all have `seq <= W` redundant; pruning deletes those
 //! files and fsyncs the directory.
 //!
-//! # Group commit
+//! # One commit path
 //!
-//! [`WalWriter::append_buffered`] writes frames without syncing;
-//! [`GroupSync`] tracks which appends a `sync_data` has covered.
-//! Committers enqueue their frame runs (serialized by the store's
-//! commit path), then [`WalAck::wait`]: the first uncovered waiter
-//! elects itself leader, optionally dwells for up to
-//! [`GroupCommitPolicy::max_delay_us`] or until
+//! Bytes reach the log only through [`SegmentedWal::append_run`], which
+//! writes a frame run without syncing and returns a [`WalAck`];
+//! [`GroupSync`] tracks which appends a `sync_data` has covered. A
+//! caller that must be durable before it returns waits on the ack at
+//! once (the plain store's mutators and [`crate::Transaction::commit`]);
+//! the MVCC commit path carries it out of its commit mutex first. The
+//! first uncovered waiter elects itself leader, optionally dwells for
+//! up to [`GroupCommitPolicy::max_delay_us`] or until
 //! [`GroupCommitPolicy::max_batch`] runs are pending, issues **one**
-//! `sync_data` for the whole batch, and wakes every covered waiter. A
-//! commit is acknowledged only after its covering sync, so
-//! *acknowledged ≠ lost* is preserved: a crash can lose only
-//! unacknowledged tail transactions. The default policy (batch 1,
-//! no delay) reproduces the historical sync-per-commit behaviour
-//! exactly.
+//! `sync_data` for the whole batch, and wakes every covered waiter. The
+//! default policy (batch 1, no delay) is a group of one. A commit is
+//! acknowledged only after its covering sync, so *acknowledged ≠ lost*
+//! holds: a crash can lose only unacknowledged tail transactions.
+//!
+//! # Sync failures
+//!
+//! A failed covering sync (a leader's `sync_data`, or a segment seal)
+//! **latches** the log: after an fsync error the page-cache state of
+//! the file is unknowable, so every waiter the sync should have covered
+//! gets the error, every later [`SegmentedWal::append_run`] is refused,
+//! and acks covered before the failure stay `Ok`. The frames of the
+//! failed batch stay in the file — recovery may or may not find them,
+//! and either way lands on a commit-order prefix containing every
+//! acknowledged commit. What each caller reports is documented on
+//! [`crate::StoreError::Durability`].
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -520,9 +531,8 @@ pub fn scan_wal(path: &Path) -> Result<WalScan, DurabilityError> {
 /// An append handle over one WAL segment file. Opening truncates the
 /// file to `valid_len` (discarding any torn tail found by [`scan_wal`])
 /// and positions at the end. [`WalWriter::append_buffered`] writes a
-/// frame run without syncing (group commit syncs later through
-/// [`GroupSync`]); [`WalWriter::append`] is the historical
-/// write-then-`sync_data` combination.
+/// frame run without syncing; the covering sync comes later through
+/// [`GroupSync`].
 #[derive(Debug)]
 pub struct WalWriter {
     /// Shared so a group-commit leader can `sync_data` the segment
@@ -604,28 +614,6 @@ impl WalWriter {
         self.file.sync_data().map_err(|e| io_err(&self.path, e))
     }
 
-    /// Appends `records` as one contiguous frame run and `sync_data`s
-    /// before returning — the pre-group-commit behaviour. On sync
-    /// failure the file is truncated back so the log never acknowledges
-    /// bytes it could not flush.
-    pub fn append(&mut self, records: &[WalRecord]) -> Result<(), DurabilityError> {
-        let start = self.cached_len;
-        self.append_buffered(records)?;
-        if let Err(e) = self.sync() {
-            let restored = self
-                .file
-                .set_len(start)
-                .and_then(|()| (&*self.file).seek(SeekFrom::Start(start)).map(|_| ()));
-            if restored.is_err() {
-                self.poisoned = true;
-            } else {
-                self.cached_len = start;
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
-
     /// The shared handle of the underlying segment file, for the
     /// group-commit leader's out-of-band `sync_data`.
     pub(crate) fn file(&self) -> &Arc<File> {
@@ -675,11 +663,11 @@ impl WalWriter {
 // ---------------------------------------------------------------------
 
 /// How commits share fsyncs. The default (`max_batch: 1`,
-/// `max_delay_us: 0`) syncs every commit before acknowledging it —
-/// byte-for-byte the historical behaviour, so grouping is strictly
-/// opt-in. A grouped policy lets the sync leader dwell until
-/// `max_batch` commit runs are buffered or `max_delay_us` has elapsed,
-/// then cover the whole batch with **one** `sync_data`.
+/// `max_delay_us: 0`) is a group of one: the leader syncs as soon as it
+/// is elected, covering whatever is appended by then. A grouped policy
+/// lets the sync leader dwell until `max_batch` commit runs are
+/// buffered or `max_delay_us` has elapsed, then cover the whole batch
+/// with **one** `sync_data`.
 ///
 /// Grouping never weakens *acknowledged ≠ lost*: a commit is
 /// acknowledged only after a sync covering its bytes, so a crash can
@@ -710,12 +698,6 @@ impl GroupCommitPolicy {
             max_delay_us,
         }
     }
-
-    /// True when this policy can defer the covering sync past the
-    /// append (anything beyond sync-per-commit-before-ack).
-    pub fn is_grouped(&self) -> bool {
-        self.max_batch > 1 || self.max_delay_us > 0
-    }
 }
 
 /// The group-commit sync coordinator. Appends are serialized by the
@@ -724,12 +706,9 @@ impl GroupCommitPolicy {
 /// covered. Waiters for uncovered indexes elect a leader that issues
 /// one sync for everything appended so far.
 ///
-/// A failed `sync_data` is **sticky**: after an fsync error the page
-/// cache state of the file is unknowable, so the coordinator records
-/// the first error, every uncovered waiter (present and future) gets
-/// it, and the owning log refuses further appends. Already-covered
-/// indexes stay acknowledged — their bytes were flushed before the
-/// failure.
+/// A failed `sync_data` is **sticky** (see the module docs): the
+/// coordinator records the first error, every uncovered waiter (present
+/// and future) gets it, and the owning log refuses further appends.
 #[derive(Debug)]
 pub struct GroupSync {
     state: Mutex<GroupState>,
@@ -760,6 +739,13 @@ struct GroupState {
     leader: bool,
     /// First sync failure, sticky.
     error: Option<DurabilityError>,
+    /// Test-only fault injection: the leader sync with this 1-based
+    /// number fails instead of calling `sync_data`.
+    #[cfg(test)]
+    fail_sync: Option<u64>,
+    /// Leader syncs issued so far (numbers the injected fault).
+    #[cfg(test)]
+    leader_syncs: u64,
 }
 
 /// A claim ticket for one appended commit run: [`WalAck::wait`] blocks
@@ -792,6 +778,10 @@ impl GroupSync {
                 pending: 0,
                 leader: false,
                 error: None,
+                #[cfg(test)]
+                fail_sync: None,
+                #[cfg(test)]
+                leader_syncs: 0,
             }),
             cv_ack: Condvar::new(),
             cv_batch: Condvar::new(),
@@ -811,6 +801,19 @@ impl GroupSync {
 
     pub(crate) fn policy(&self) -> GroupCommitPolicy {
         self.lock().policy
+    }
+
+    /// Makes the leader sync numbered `k` (1-based) fail.
+    #[cfg(test)]
+    pub(crate) fn fail_sync_at(&self, k: u64) {
+        self.lock().fail_sync = Some(k);
+    }
+
+    /// Latches `e` as the log's sticky sync failure and wakes every
+    /// waiter to collect it.
+    fn latch(&self, e: DurabilityError) {
+        self.lock().error.get_or_insert(e);
+        self.cv_ack.notify_all();
     }
 
     /// Fails once a sync has failed — the gate that stops a log from
@@ -894,8 +897,16 @@ impl GroupSync {
             let target = s.appended;
             let covered = s.pending;
             let file = s.file.clone();
+            #[cfg(test)]
+            let injected = file.is_some() && {
+                s.leader_syncs += 1;
+                s.fail_sync == Some(s.leader_syncs)
+            };
+            #[cfg(not(test))]
+            let injected = false;
             drop(s);
             let res = match &file {
+                _ if injected => Err(DurabilityError::Io("wal sync: injected fault".into())),
                 Some(f) => f
                     .sync_data()
                     .map_err(|e| DurabilityError::Io(format!("wal sync: {e}"))),
@@ -925,25 +936,15 @@ impl GroupSync {
 // Segments
 // ---------------------------------------------------------------------
 
-/// The single-file layout's log name, still read as segment 0.
-pub const LEGACY_WAL_FILE: &str = "wal.log";
-
 /// Rotate the active segment once it crosses this many bytes.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// The file name of WAL segment `seq` inside the durability directory.
 pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    if seq == 0 {
-        dir.join(LEGACY_WAL_FILE)
-    } else {
-        dir.join(format!("wal-{seq:020}.log"))
-    }
+    dir.join(format!("wal-{seq:020}.log"))
 }
 
 fn parse_segment_name(name: &str) -> Option<u64> {
-    if name == LEGACY_WAL_FILE {
-        return Some(0);
-    }
     let digits = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -1024,7 +1025,6 @@ pub struct SealedSegment {
 pub struct SegmentedWal {
     dir: PathBuf,
     active_seq: u64,
-    active_len: u64,
     /// Highest transaction sequence appended to the active segment.
     active_last_txn: u64,
     writer: WalWriter,
@@ -1051,7 +1051,6 @@ impl SegmentedWal {
         Ok(SegmentedWal {
             dir: dir.to_path_buf(),
             active_seq,
-            active_len: valid_len,
             active_last_txn: last_txn,
             writer,
             sealed,
@@ -1082,58 +1081,42 @@ impl SegmentedWal {
 
     /// Appends one transaction's frame run (or a standalone marker) to
     /// the active segment, rotating first when the threshold is
-    /// crossed, and returns the ack to wait on. `last_txn` is the
-    /// highest transaction sequence in `records` (the current counter
-    /// for markers).
+    /// crossed, and returns the ack to wait on — the only way bytes
+    /// reach the log. `last_txn` is the highest transaction sequence in
+    /// `records` (the current counter for markers). Refused once a sync
+    /// has failed (see the module docs).
     pub fn append_run(
         &mut self,
         records: &[WalRecord],
         last_txn: u64,
     ) -> Result<WalAck, DurabilityError> {
         self.gc.check()?;
-        if self.active_len >= self.segment_bytes {
+        if self.writer.cached_len >= self.segment_bytes {
             self.rotate()?;
         }
-        let end = self.writer.append_buffered(records)?;
-        self.active_len = end;
+        self.writer.append_buffered(records)?;
         self.active_last_txn = self.active_last_txn.max(last_txn);
         Ok(self.gc.note_append(self.writer.file()))
     }
 
-    /// The single-writer variant of [`SegmentedWal::append_run`]:
-    /// appends and `sync_data`s before returning, with the historical
-    /// failure contract — on any failure the file is restored to its
-    /// pre-append length (there is no later append to protect), so the
-    /// caller may roll its in-memory state back and the log agrees.
-    pub fn append_run_synced(
-        &mut self,
-        records: &[WalRecord],
-        last_txn: u64,
-    ) -> Result<(), DurabilityError> {
-        self.gc.check()?;
-        if self.active_len >= self.segment_bytes {
-            self.rotate()?;
-        }
-        self.writer.append(records)?;
-        self.active_len = self.writer.len()?;
-        self.active_last_txn = self.active_last_txn.max(last_txn);
-        self.gc.mark_all_synced();
-        Ok(())
-    }
-
     /// Seals the active segment — one final `sync_data`, making every
     /// byte of it durable — and creates the next one (fsyncing the
-    /// directory so the new name survives power loss).
+    /// directory so the new name survives power loss). The seal covers
+    /// every pending ack, so its failure latches the log like a failed
+    /// leader sync.
     pub fn rotate(&mut self) -> Result<(), DurabilityError> {
-        self.writer.sync()?;
+        if let Err(e) = self.writer.sync() {
+            self.gc.latch(e.clone());
+            return Err(e);
+        }
         self.gc.mark_all_synced();
+        let next = WalWriter::open(&segment_path(&self.dir, self.active_seq + 1), 0)?;
         self.sealed.push(SealedSegment {
             seq: self.active_seq,
             last_txn: self.active_last_txn,
         });
         self.active_seq += 1;
-        self.writer = WalWriter::open(&segment_path(&self.dir, self.active_seq), 0)?;
-        self.active_len = 0;
+        self.writer = next;
         Ok(())
     }
 
@@ -1173,7 +1156,6 @@ impl SegmentedWal {
     /// them now.
     pub fn reset_all(&mut self) -> Result<(), DurabilityError> {
         self.writer.reset()?;
-        self.active_len = 0;
         let had_sealed = !self.sealed.is_empty();
         for s in std::mem::take(&mut self.sealed) {
             let path = segment_path(&self.dir, s.seq);
@@ -1188,7 +1170,7 @@ impl SegmentedWal {
 
     /// Byte length of the active segment.
     pub fn active_len(&self) -> u64 {
-        self.active_len
+        self.writer.cached_len
     }
 }
 
@@ -1258,19 +1240,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
         let mut w = WalWriter::open(&path, 0).unwrap();
-        w.append(&[WalRecord::Begin { seq: 1 }, WalRecord::Commit { seq: 1 }])
+        w.append_buffered(&[WalRecord::Begin { seq: 1 }, WalRecord::Commit { seq: 1 }])
             .unwrap();
+        w.sync().unwrap();
         let good_len = w.len().unwrap();
         // Swap in a read-only handle: the write fails, the truncate-back
         // fails too, and the writer must poison itself rather than let a
         // later append land after a possible tear.
         let real = w.swap_file_for_test(Arc::new(File::open(&path).unwrap()));
         assert!(matches!(
-            w.append(&[WalRecord::Rollback]),
+            w.append_buffered(&[WalRecord::Rollback]),
             Err(DurabilityError::Io(_))
         ));
         drop(w.swap_file_for_test(real));
-        let err = w.append(&[WalRecord::Rollback]).unwrap_err();
+        let err = w.append_buffered(&[WalRecord::Rollback]).unwrap_err();
         assert!(
             matches!(&err, DurabilityError::Io(m) if m.contains("poisoned")),
             "writable again, but the writer stays poisoned: {err}"
@@ -1343,11 +1326,11 @@ mod tests {
     fn rotation_seals_prunes_and_lists_in_order() {
         let dir = scratch("rotate");
         let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        wal.append_run_synced(&run(1), 1).unwrap();
+        wal.append_run(&run(1), 1).unwrap().wait().unwrap();
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(2), 2).unwrap();
+        wal.append_run(&run(2), 2).unwrap().wait().unwrap();
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(3), 3).unwrap();
+        wal.append_run(&run(3), 3).unwrap().wait().unwrap();
         assert_eq!(wal.active_seq(), 3);
         let listed: Vec<u64> = list_segments(&dir)
             .unwrap()
@@ -1372,11 +1355,11 @@ mod tests {
     fn scan_segments_stops_at_gap_and_torn_segment() {
         let dir = scratch("gap");
         let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
-        wal.append_run_synced(&run(1), 1).unwrap();
+        wal.append_run(&run(1), 1).unwrap().wait().unwrap();
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(2), 2).unwrap();
+        wal.append_run(&run(2), 2).unwrap().wait().unwrap();
         wal.rotate().unwrap();
-        wal.append_run_synced(&run(3), 3).unwrap();
+        wal.append_run(&run(3), 3).unwrap().wait().unwrap();
         // Tear the middle segment: everything after it is unreachable.
         let mid = segment_path(&dir, 2);
         let bytes = std::fs::read(&mid).unwrap();
@@ -1395,6 +1378,41 @@ mod tests {
             vec![1],
             "nothing past a missing sequence number is trusted"
         );
+    }
+
+    #[test]
+    fn sync_fault_latches_the_log_and_keeps_earlier_acks() {
+        let dir = scratch("fault");
+        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
+        wal.group().fail_sync_at(2);
+        let a1 = wal.append_run(&run(1), 1).unwrap();
+        a1.wait().expect("sync 1 succeeds");
+        let a2 = wal.append_run(&run(2), 2).unwrap();
+        let err = a2.wait().expect_err("sync 2 is the injected fault");
+        assert!(err.to_string().contains("injected"), "{err}");
+        a1.wait()
+            .expect("an ack covered before the failure stays Ok");
+        assert_eq!(
+            wal.append_run(&run(3), 3).unwrap_err(),
+            err,
+            "the latched log refuses the next append"
+        );
+        // The failed batch's frames stay in the file; nothing follows.
+        assert_eq!(scan_wal(&segment_path(&dir, 1)).unwrap().records.len(), 4);
+    }
+
+    #[test]
+    fn failed_rotation_keeps_the_active_segment() {
+        let dir = scratch("rotate-fail");
+        let mut wal = SegmentedWal::open(&dir, 1, 0, Vec::new(), 0).unwrap();
+        wal.append_run(&run(1), 1).unwrap().wait().unwrap();
+        // A directory squatting on the successor's name fails its open.
+        std::fs::create_dir_all(segment_path(&dir, 2)).unwrap();
+        assert!(wal.rotate().is_err());
+        assert_eq!(wal.active_seq(), 1, "segment 1 stays active");
+        assert_eq!(wal.sealed(), &[], "and is not listed as sealed");
+        wal.append_run(&run(2), 2).unwrap().wait().unwrap();
+        assert_eq!(scan_wal(&segment_path(&dir, 1)).unwrap().records.len(), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use interop_constraint::Catalog;
 use interop_model::{ClassDef, ClassName, Database, Object, ObjectId, Schema, Type};
-use interop_storage::wal::{frame_bytes, scan_wal};
+use interop_storage::wal::{frame_bytes, scan_wal, segment_path};
 use interop_storage::{DurabilityMode, Store, WalRecord};
 
 fn schema() -> Schema {
@@ -70,15 +70,15 @@ fn flipped_crc_byte_stops_at_last_good_commit() {
     // payload starts 25 bytes past the boundary): its stored CRC no
     // longer matches.
     bytes[tear_at + 25] ^= 0xFF;
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
 
-    let scan = scan_wal(&dir.join("wal.log")).unwrap();
+    let scan = scan_wal(&segment_path(&dir, 1)).unwrap();
     assert_eq!(scan.records.len(), 4, "txn 1 plus txn 2's intact Begin");
     assert_eq!(scan.valid_len as usize, tear_at + 17, "stops at the flip");
     assert_eq!(recovered_serials(&dir), vec![1], "only txn 1 applied");
     // Recovery truncated the log back to the commit boundary: a fresh
     // scan sees exactly txn 1.
-    let scan = scan_wal(&dir.join("wal.log")).unwrap();
+    let scan = scan_wal(&segment_path(&dir, 1)).unwrap();
     assert_eq!(scan.valid_len as usize, tear_at);
     assert_eq!(scan.file_len as usize, tear_at);
 }
@@ -90,9 +90,9 @@ fn truncated_length_prefix_stops_at_last_good_commit() {
     let tear_at = bytes.len();
     // A torn header: only 5 of the 8 prefix bytes made it to disk.
     bytes.extend_from_slice(&frame_bytes(&WalRecord::Begin { seq: 2 })[..5]);
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
 
-    let scan = scan_wal(&dir.join("wal.log")).unwrap();
+    let scan = scan_wal(&segment_path(&dir, 1)).unwrap();
     assert_eq!(scan.records.len(), 3);
     assert_eq!(scan.valid_len as usize, tear_at);
     assert!(scan.file_len > scan.valid_len);
@@ -109,9 +109,9 @@ fn lying_length_prefix_reads_as_torn_payload() {
     let mut frame = frame_bytes(&WalRecord::Rollback);
     frame[0] = 0xFF; // len = huge
     bytes.extend_from_slice(&frame);
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
 
-    let scan = scan_wal(&dir.join("wal.log")).unwrap();
+    let scan = scan_wal(&segment_path(&dir, 1)).unwrap();
     assert_eq!(scan.valid_len as usize, tear_at);
     assert_eq!(recovered_serials(&dir), vec![1]);
 }
@@ -127,9 +127,9 @@ fn valid_frame_after_torn_one_is_discarded() {
     let torn = frame_bytes(&WalRecord::Begin { seq: 2 });
     bytes.extend_from_slice(&torn[..torn.len() / 2]);
     bytes.extend_from_slice(&txn_bytes(3, item(3, "c", 3)));
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
 
-    let scan = scan_wal(&dir.join("wal.log")).unwrap();
+    let scan = scan_wal(&segment_path(&dir, 1)).unwrap();
     assert_eq!(scan.records.len(), 3, "scan stops at the tear");
     assert_eq!(scan.valid_len as usize, tear_at);
     assert_eq!(
@@ -148,7 +148,7 @@ fn unterminated_txn_run_is_not_applied_and_truncated() {
     // intact, but without the Commit the transaction never happened.
     bytes.extend_from_slice(&frame_bytes(&WalRecord::Begin { seq: 2 }));
     bytes.extend_from_slice(&frame_bytes(&WalRecord::DeltaInsert(item(2, "b", 2))));
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
 
     assert_eq!(recovered_serials(&dir), vec![1]);
     // The unterminated run was truncated away, so a new store can
@@ -159,7 +159,7 @@ fn unterminated_txn_run_is_not_applied_and_truncated() {
     drop(s);
     assert_eq!(recovered_serials(&dir), vec![1, 2]);
     assert_eq!(
-        std::fs::metadata(dir.join("wal.log")).unwrap().len() as usize,
+        std::fs::metadata(segment_path(&dir, 1)).unwrap().len() as usize,
         boundary + txn_bytes(2, item(2, "b2", 5)).len(),
         "log holds exactly txn 1 plus the fresh txn 2"
     );
@@ -177,9 +177,9 @@ fn crc_valid_but_undecodable_frame_stops_replay() {
     bytes.extend_from_slice(&interop_storage::wal::crc32(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes.extend_from_slice(&txn_bytes(2, item(2, "b", 2)));
-    std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+    std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
 
-    let scan = scan_wal(&dir.join("wal.log")).unwrap();
+    let scan = scan_wal(&segment_path(&dir, 1)).unwrap();
     assert_eq!(scan.valid_len as usize, tear_at);
     assert_eq!(recovered_serials(&dir), vec![1]);
 }
@@ -188,6 +188,6 @@ fn crc_valid_but_undecodable_frame_stops_replay() {
 fn empty_and_missing_logs_recover_empty() {
     let dir = scratch("empty");
     assert_eq!(recovered_serials(&dir), Vec::<u64>::new());
-    std::fs::write(dir.join("wal.log"), b"").unwrap();
+    std::fs::write(segment_path(&dir, 1), b"").unwrap();
     assert_eq!(recovered_serials(&dir), Vec::<u64>::new());
 }
