@@ -1,5 +1,6 @@
 //! Experiment F2 bench: the conformation + merging pipeline on the paper
-//! fixture and on synthetic extents of growing size.
+//! fixture and on synthetic extents of growing size, plus the §5
+//! conflict analyses on the merged synthetic view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use interop_bench::{synthetic_fixture, SyntheticConfig};
@@ -54,6 +55,25 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("synthetic_merge", n), &n, |b, _| {
             b.iter(|| interop_merge::merge(&sconf, &Default::default()).expect("merges"))
         });
+
+        // The §5 conflict analyses alone, on a view and derived set built
+        // beforehand: the instance check walks every scope's members.
+        if n >= 1_000 {
+            let view = interop_merge::merge(&sconf, &Default::default()).expect("merges");
+            let subj = interop_core::property_subjectivity(&sconf);
+            let (statuses, _) = interop_core::classify_constraints(&sconf, &subj);
+            let global = interop_core::derive::derive_global_constraints(
+                &sconf,
+                &subj,
+                &statuses,
+                Default::default(),
+            );
+            g.bench_with_input(BenchmarkId::new("conflicts", n), &n, |b, _| {
+                b.iter(|| {
+                    interop_core::conflict::detect_conflicts(&sconf, &statuses, &global, &view)
+                })
+            });
+        }
 
         // Single-object churn through the incremental pipeline: one
         // source update re-conforms one object and patches the merge

@@ -5,13 +5,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use interop_conform::Conformed;
+use interop_constraint::eval::Truth;
 use interop_constraint::solve::{conjunction_unsat, implies, TypeEnv};
 use interop_constraint::{ConstraintId, Formula, Path, Status};
-use interop_merge::IntegratedView;
+use interop_merge::{GlobalObject, IntegratedView};
 use interop_model::{ClassName, ObjectId};
 use interop_spec::{DfKind, RuleId, Side};
 
-use crate::derive::{GlobalConstraints, Scope};
+use crate::derive::{DerivedConstraint, GlobalConstraints, Scope};
 
 /// The kinds of conflicts the paper distinguishes.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,6 +69,12 @@ impl fmt::Display for Conflict {
 }
 
 /// Runs all conflict analyses.
+///
+/// The output order is part of the contract (report digests and snapshot
+/// tests pin it): explicit conflicts by scope, then implicit risks, then
+/// admission failures, then instance violations. Instance violations are
+/// constraint-major, following the order of `global.object`; within one
+/// constraint they follow the id order of the scope's class extension.
 pub fn detect_conflicts(
     conf: &Conformed,
     statuses: &BTreeMap<ConstraintId, Status>,
@@ -117,7 +124,7 @@ fn applicable<'a>(
     conf: &Conformed,
     global: &'a GlobalConstraints,
     scope: &Scope,
-) -> Vec<&'a crate::derive::DerivedConstraint> {
+) -> Vec<&'a DerivedConstraint> {
     let mut classes: Vec<ClassName> = Vec::new();
     for c in scope.classes() {
         for schema in [&conf.local.db.schema, &conf.remote.db.schema] {
@@ -248,55 +255,66 @@ fn implicit_conflicts(
     }
 }
 
+/// §5 instance check, one pass per distinct scope: each member of a
+/// scope is evaluated against every derived constraint of that scope
+/// while it is hot, and the violations land in one bucket per
+/// constraint. Concatenating the buckets in `global.object` order keeps
+/// the output constraint-major, members in extension (id) order within
+/// a constraint.
 fn instance_violations(out: &mut Vec<Conflict>, global: &GlobalConstraints, view: &IntegratedView) {
-    for d in &global.object {
-        let check = |obj: &interop_merge::GlobalObject, out: &mut Vec<Conflict>| {
-            if view.eval(obj, &d.formula) == interop_constraint::eval::Truth::False {
-                out.push(Conflict {
-                    detail: format!(
-                        "instance violation: global object {} violates derived constraint {} \
-                         ({})",
-                        obj.id, d.id, d.formula
-                    ),
-                    kind: ConflictKind::InstanceViolation {
-                        object: obj.id,
-                        constraint: d.to_string(),
-                    },
-                });
-            }
-        };
-        match &d.scope {
-            Scope::All(c) => {
-                for obj in view.extension(c) {
-                    check(obj, out);
-                }
-            }
-            Scope::Merged(lc, rc) => {
-                for obj in view.extension(lc) {
-                    if obj.local.is_some()
-                        && obj.remote.is_some()
-                        && view.hierarchy.extension(rc).contains(&obj.id)
-                    {
-                        check(obj, out);
-                    }
-                }
-            }
-            Scope::LocalOnly(c) => {
-                for obj in view.extension(c) {
-                    if obj.remote.is_none() {
-                        check(obj, out);
-                    }
-                }
-            }
-            Scope::RemoteOnly(c) => {
-                for obj in view.extension(c) {
-                    if obj.local.is_none() {
-                        check(obj, out);
-                    }
+    let mut buckets: Vec<Vec<Conflict>> = global.object.iter().map(|_| Vec::new()).collect();
+    let mut by_scope: BTreeMap<&Scope, Vec<(&DerivedConstraint, &mut Vec<Conflict>)>> =
+        BTreeMap::new();
+    for (d, bucket) in global.object.iter().zip(buckets.iter_mut()) {
+        by_scope.entry(&d.scope).or_default().push((d, bucket));
+    }
+    for (scope, checks) in &mut by_scope {
+        for obj in scope_members(view, scope) {
+            for (d, bucket) in checks.iter_mut() {
+                if view.eval(obj, &d.formula) == Truth::False {
+                    bucket.push(Conflict {
+                        detail: format!(
+                            "instance violation: global object {} violates derived constraint \
+                             {} ({})",
+                            obj.id, d.id, d.formula
+                        ),
+                        kind: ConflictKind::InstanceViolation {
+                            object: obj.id,
+                            constraint: d.to_string(),
+                        },
+                    });
                 }
             }
         }
     }
+    drop(by_scope);
+    out.extend(buckets.into_iter().flatten());
+}
+
+/// The global objects a scope covers, in id order: the extension of the
+/// scope's (local) class, filtered by where each object came from.
+fn scope_members<'v>(
+    view: &'v IntegratedView,
+    scope: &'v Scope,
+) -> impl Iterator<Item = &'v GlobalObject> + 'v {
+    let (class, remote_ext) = match scope {
+        Scope::Merged(lc, rc) => (lc, Some(view.hierarchy.extension(rc))),
+        Scope::All(c) | Scope::LocalOnly(c) | Scope::RemoteOnly(c) => (c, None),
+    };
+    view.hierarchy
+        .extension(class)
+        .iter()
+        .filter_map(|id| view.objects.get(id))
+        .filter(move |obj| match scope {
+            Scope::All(_) => true,
+            Scope::Merged(..) => {
+                obj.local.is_some()
+                    && obj.remote.is_some()
+                    && remote_ext.is_some_and(|ext| ext.contains(&obj.id))
+            }
+            Scope::LocalOnly(_) => obj.remote.is_none(),
+            Scope::RemoteOnly(_) => obj.local.is_none(),
+        })
 }
 
 #[cfg(test)]
@@ -391,6 +409,79 @@ mod tests {
                 .any(|c| matches!(c.kind, ConflictKind::InstanceViolation { .. })),
             "the paper's (26,25) fusion must violate libprice <= shopprice: {conflicts:?}"
         );
+    }
+
+    #[test]
+    fn instance_violations_are_constraint_major_in_derivation_order() {
+        // Two constraints share the scope `all Publication` and a
+        // `merged` one sits between them. Checking per scope must not
+        // regroup the output: it stays a, b, c, each block in id order.
+        let fx = fixtures::paper_fixture();
+        let conf = interop_conform::conform(
+            &fx.local_db,
+            &fx.local_catalog,
+            &fx.remote_db,
+            &fx.remote_catalog,
+            &fx.spec,
+        )
+        .unwrap();
+        let view = merge(&conf, &fixtures::merge_options()).unwrap();
+        let publication = ClassName::new("Publication");
+        let derived = |id: &str, scope: Scope, formula: Formula| crate::derive::DerivedConstraint {
+            id: ConstraintId::derived(id),
+            scope,
+            formula,
+            sources: vec![],
+            origin: crate::derive::DerivationOrigin::ObjectivePassThrough,
+        };
+        let mut global = GlobalConstraints::default();
+        global.object.push(derived(
+            "a",
+            Scope::All(publication.clone()),
+            Formula::Cmp(
+                interop_constraint::Expr::attr("libprice"),
+                interop_constraint::CmpOp::Le,
+                interop_constraint::Expr::attr("shopprice"),
+            ),
+        ));
+        global.object.push(derived(
+            "b",
+            Scope::Merged(publication.clone(), ClassName::new("Item")),
+            Formula::False,
+        ));
+        global.object.push(derived(
+            "c",
+            Scope::All(publication),
+            Formula::cmp("libprice", interop_constraint::CmpOp::Gt, 1000.0),
+        ));
+        let violations: Vec<(String, ObjectId)> =
+            detect_conflicts(&conf, &BTreeMap::new(), &global, &view)
+                .into_iter()
+                .filter_map(|c| match c.kind {
+                    ConflictKind::InstanceViolation { object, constraint } => {
+                        Some((constraint, object))
+                    }
+                    _ => None,
+                })
+                .collect();
+        let mut blocks: Vec<&str> = violations
+            .iter()
+            .map(|(c, _)| c.split(']').next().unwrap_or(""))
+            .collect();
+        blocks.dedup();
+        assert_eq!(
+            blocks,
+            ["[a", "[b", "[c"],
+            "constraint-major in derivation order: {violations:?}"
+        );
+        for pair in violations.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                assert!(
+                    pair[0].1 < pair[1].1,
+                    "id order within a block: {violations:?}"
+                );
+            }
+        }
     }
 
     #[test]

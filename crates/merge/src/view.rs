@@ -61,8 +61,12 @@ impl IntegratedView {
     }
 
     /// Navigates a path on a global object (references resolve to other
-    /// global objects).
+    /// global objects). The empty `self` path yields the object's own
+    /// reference, as in the component evaluator.
     pub fn get_path(&self, obj: &GlobalObject, path: &Path) -> Value {
+        if path.is_this() {
+            return Value::Ref(obj.id);
+        }
         let mut cur: &GlobalObject = obj;
         for (i, attr) in path.0.iter().enumerate() {
             let v = cur.attrs.get(attr).cloned().unwrap_or(Value::Null);
@@ -320,6 +324,10 @@ mod tests {
     use interop_spec::{ComparisonRule, Conversion, Decision, InterCond, PropEq, Side, Spec};
 
     fn view() -> IntegratedView {
+        conformed_and_view().1
+    }
+
+    fn conformed_and_view() -> (Conformed, IntegratedView) {
         let local_schema = Schema::new(
             "L",
             vec![
@@ -415,7 +423,8 @@ mod tests {
         ));
         let conf =
             interop_conform::conform(&ldb, &Catalog::new(), &rdb, &Catalog::new(), &spec).unwrap();
-        merge(&conf, &MergeOptions::default()).unwrap()
+        let view = merge(&conf, &MergeOptions::default()).unwrap();
+        (conf, view)
     }
 
     #[test]
@@ -465,6 +474,34 @@ mod tests {
             5i64,
         ));
         assert_eq!(v.eval(merged, &f), Truth::True);
+    }
+
+    #[test]
+    fn self_path_agrees_with_component_evaluator() {
+        // Regression: the view used to read the empty `self` path as
+        // `Null`, so `self = self` came out Unknown on a global object
+        // while the component evaluator says True.
+        use interop_constraint::eval::eval_formula;
+        let (conf, v) = conformed_and_view();
+        let this = || Expr::Attr(Path::this());
+        let formulas = [
+            Formula::Cmp(this(), CmpOp::Eq, this()),
+            Formula::In(this(), [Value::int(1)].into_iter().collect()),
+            Formula::cmp("isbn", CmpOp::Eq, "X").implies(Formula::Cmp(this(), CmpOp::Ne, this())),
+        ];
+        let local = conf
+            .local
+            .db
+            .objects()
+            .find(|o| o.class.as_str() == "ScientificPubl")
+            .unwrap();
+        let global = v.global_of(local.id).unwrap();
+        assert_eq!(v.get_path(global, &Path::this()), Value::Ref(global.id));
+        for f in &formulas {
+            let component = eval_formula(&conf.local.db, local, f).unwrap();
+            assert_eq!(v.eval(global, f), component, "{f}");
+            assert_ne!(component, Truth::Unknown, "{f} must not be vacuous");
+        }
     }
 
     #[test]
