@@ -2,9 +2,12 @@
 //! path. Loads 10k objects into a volatile store (`DurabilityMode::Off`
 //! — the pre-durability baseline, byte-identical behaviour) and into a
 //! WAL-backed store, then prices recovery: reopening the 10k-object
-//! log, and reopening after `snapshot_now` (replay-free).
+//! log, and reopening after `snapshot_now` (replay-free). Also prices
+//! one MVCC commit by database size (`mvcc_commit`), which structural
+//! sharing keeps nearly flat from 1k to 100k objects.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use interop_bench::synthetic_store;
 use interop_constraint::Catalog;
 use interop_model::{ClassDef, ClassName, Database, Object, ObjectId, Schema, Type, Value};
 use interop_storage::{DurabilityMode, GroupCommitPolicy, MvccStore, Store};
@@ -53,6 +56,32 @@ fn load(store: &mut Store) {
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("durability");
     g.sample_size(10);
+
+    // One-object update transactions through MVCC sessions on a
+    // volatile store: begin, update (the overlay's first write), commit
+    // (validation, the canonical re-apply, version stamping and
+    // snapshot publication). Every step clones or edits the database's
+    // persistent maps, so the cost grows with log N, not N.
+    for n in [1_000usize, 100_000] {
+        let store = MvccStore::new(synthetic_store(n, 7));
+        let id = store
+            .read_view()
+            .db()
+            .objects()
+            .next()
+            .expect("a populated store")
+            .id;
+        let mut price = 1.0;
+        g.bench_with_input(BenchmarkId::new("mvcc_commit", n), &n, |b, _| {
+            b.iter(|| {
+                price += 1.0;
+                let mut t = store.begin();
+                t.update(id, "price", Value::real(price))
+                    .expect("in-schema update");
+                std::hint::black_box(t.commit().expect("a lone writer commits"))
+            })
+        });
+    }
 
     g.bench_with_input(BenchmarkId::new("writes_off", N), &N, |b, _| {
         b.iter(|| {

@@ -509,7 +509,12 @@ mod tests {
     fn conformed_values_follow() {
         let (ldb, lcat, rdb, rcat, spec) = fixture();
         let conf = conform(&ldb, &lcat, &rdb, &rcat, &spec).unwrap();
-        let id = conf.local.db.extent(&ClassName::new("RefereedPubl"))[0];
+        let id = conf
+            .local
+            .db
+            .extent(&ClassName::new("RefereedPubl"))
+            .next()
+            .unwrap();
         let obj = conf.local.db.object(id).unwrap();
         assert_eq!(obj.get(&AttrName::new("rating")), &Value::int(6));
         assert_eq!(obj.get(&AttrName::new("libprice")), &Value::real(26.0));

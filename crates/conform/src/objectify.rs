@@ -306,7 +306,10 @@ mod tests {
         // Two distinct publishers → two virtual objects.
         assert_eq!(out.extent(&ClassName::new("VirtPublisher")).len(), 2);
         // Rating 3 on the 1..5 scale became 6 on the 1..10 scale.
-        let sci = out.extent(&ClassName::new("ScientificPubl"))[0];
+        let sci = out
+            .extent(&ClassName::new("ScientificPubl"))
+            .next()
+            .unwrap();
         let obj = out.object(sci).unwrap();
         assert_eq!(obj.get(&AttrName::new("rating")), &Value::int(6));
         assert_eq!(obj.get(&AttrName::new("libprice")), &Value::real(26.0));

@@ -1,37 +1,76 @@
 //! Databases: a schema plus populated class extents.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::ident::{AttrName, ClassName, DbName};
 use crate::object::{Object, ObjectId};
+use crate::pmap::PMap;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 
-/// The extent of a class: object ids in insertion order.
-pub type Extent = Vec<ObjectId>;
+/// One object and its place in its class extent.
+#[derive(Clone)]
+struct Slot {
+    /// Key of the object in its class's extent map.
+    seq: u64,
+    obj: Arc<Object>,
+}
+
+/// The extent of an unknown class.
+static NO_EXTENT: PMap<u64, ObjectId> = PMap::new();
 
 /// A populated database: schema + objects + per-class extents.
 ///
 /// Extents are *direct*: `extent(C)` holds only objects whose most-specific
 /// class is `C`. Use [`Database::extension`] for the TM semantics where a
 /// class's extension includes all subclass instances.
-/// Cloning a `Database` is cheap by design: the schema and every
-/// object are behind `Arc`s, so a clone shares structure with the
-/// original and copies an object only when a mutation touches it
-/// (copy-on-write via `Arc::make_mut`). MVCC snapshots and the
-/// group-commit mirror clone stores on every commit, so this is a
-/// write-path cost, not a convenience.
-#[derive(Clone, Debug)]
+///
+/// Cloning a `Database` is O(1) in the number of objects: the schema
+/// and every object are behind `Arc`s, and the object map and the
+/// extents are [`PMap`]s, whose clones share every node. A mutation
+/// copies only the tree nodes on its path that are still shared, plus
+/// the object it touches (copy-on-write via `Arc::make_mut`). MVCC
+/// snapshots and transaction overlays clone stores on every commit, so
+/// this is a write-path cost, not a convenience.
+#[derive(Clone)]
 pub struct Database {
     /// The schema this database instantiates (shared, copy-on-write).
     pub schema: Arc<Schema>,
     space: u32,
     next_serial: u64,
-    objects: BTreeMap<ObjectId, Arc<Object>>,
-    extents: BTreeMap<ClassName, Extent>,
+    /// Next extent sequence number: extents are keyed by insertion
+    /// sequence, so iterating one yields insertion order.
+    next_seq: u64,
+    objects: PMap<ObjectId, Slot>,
+    extents: BTreeMap<ClassName, PMap<u64, ObjectId>>,
+}
+
+impl fmt::Debug for Slot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.obj.fmt(f)
+    }
+}
+
+impl fmt::Debug for Database {
+    /// Renders extents as id lists: their sequence keys are internal.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let extents: BTreeMap<&ClassName, Vec<ObjectId>> = self
+            .extents
+            .iter()
+            .map(|(c, ext)| (c, ext.values().copied().collect()))
+            .collect();
+        f.debug_struct("Database")
+            .field("schema", &self.schema)
+            .field("space", &self.space)
+            .field("next_serial", &self.next_serial)
+            .field("objects", &self.objects)
+            .field("extents", &extents)
+            .finish()
+    }
 }
 
 impl Database {
@@ -41,13 +80,14 @@ impl Database {
     pub fn new(schema: Schema, space: u32) -> Self {
         let extents = schema
             .class_names()
-            .map(|c| (c.clone(), Vec::new()))
+            .map(|c| (c.clone(), PMap::new()))
             .collect();
         Database {
             schema: Arc::new(schema),
             space,
             next_serial: 0,
-            objects: BTreeMap::new(),
+            next_seq: 0,
+            objects: PMap::new(),
             extents,
         }
     }
@@ -90,15 +130,21 @@ impl Database {
     /// Inserts a fully-formed object, type-checking it against the schema.
     pub fn insert(&mut self, obj: Object) -> Result<()> {
         self.typecheck(&obj)?;
-        if self.objects.contains_key(&obj.id) {
-            return Err(ModelError::DuplicateObject(obj.id));
+        let (id, class, seq) = (obj.id, obj.class.clone(), self.next_seq);
+        let slot = Slot {
+            seq,
+            obj: Arc::new(obj),
+        };
+        if let Some(held) = self.objects.insert(id, slot) {
+            self.objects.insert(id, held);
+            return Err(ModelError::DuplicateObject(id));
         }
-        self.extents
-            .get_mut(&obj.class)
-            .expect("validated class has extent")
-            .push(obj.id);
-        self.next_serial = self.next_serial.max(obj.id.serial() + 1);
-        self.objects.insert(obj.id, Arc::new(obj));
+        self.next_seq += 1;
+        match self.extents.get_mut(&class) {
+            Some(ext) => ext.insert(seq, id),
+            None => self.extents.entry(class).or_default().insert(seq, id),
+        };
+        self.next_serial = self.next_serial.max(id.serial() + 1);
         Ok(())
     }
 
@@ -131,12 +177,12 @@ impl Database {
 
     /// Removes an object, returning it.
     pub fn remove(&mut self, id: ObjectId) -> Result<Object> {
-        let obj = self
+        let Slot { seq, obj } = self
             .objects
             .remove(&id)
             .ok_or(ModelError::UnknownObject(id))?;
         if let Some(ext) = self.extents.get_mut(&obj.class) {
-            ext.retain(|&o| o != id);
+            ext.remove(&seq);
         }
         Ok(Arc::try_unwrap(obj).unwrap_or_else(|shared| (*shared).clone()))
     }
@@ -148,6 +194,7 @@ impl Database {
             .objects
             .get(&id)
             .ok_or(ModelError::UnknownObject(id))?
+            .obj
             .class
             .clone();
         match self.schema.resolve_attr(&class, &attr) {
@@ -161,7 +208,11 @@ impl Database {
                         got: value.kind().to_string(),
                     });
                 }
-                Arc::make_mut(self.objects.get_mut(&id).expect("checked above")).set(attr, value);
+                let slot = self
+                    .objects
+                    .get_mut(&id)
+                    .ok_or(ModelError::UnknownObject(id))?;
+                Arc::make_mut(&mut slot.obj).set(attr, value);
                 Ok(())
             }
         }
@@ -169,20 +220,20 @@ impl Database {
 
     /// Looks up an object by id.
     pub fn object(&self, id: ObjectId) -> Option<&Object> {
-        self.objects.get(&id).map(|o| &**o)
+        self.objects.get(&id).map(|slot| &*slot.obj)
     }
 
     /// Looks up an object, erroring if absent.
     pub fn object_req(&self, id: ObjectId) -> Result<&Object> {
         self.objects
             .get(&id)
-            .map(|o| &**o)
+            .map(|slot| &*slot.obj)
             .ok_or(ModelError::UnknownObject(id))
     }
 
     /// All objects, in id order.
     pub fn objects(&self) -> impl Iterator<Item = &Object> {
-        self.objects.values().map(|o| &**o)
+        self.objects.values().map(|slot| &*slot.obj)
     }
 
     /// Number of objects.
@@ -195,20 +246,48 @@ impl Database {
         self.objects.is_empty()
     }
 
-    /// The *direct* extent of a class (most-specific instances only).
-    pub fn extent(&self, class: &ClassName) -> &[ObjectId] {
-        self.extents.get(class).map(|v| v.as_slice()).unwrap_or(&[])
+    /// The *direct* extent of a class (most-specific instances only),
+    /// in insertion order.
+    pub fn extent(&self, class: &ClassName) -> impl ExactSizeIterator<Item = ObjectId> + '_ {
+        self.extents
+            .get(class)
+            .unwrap_or(&NO_EXTENT)
+            .values()
+            .copied()
     }
 
     /// The *extension* of a class: its direct extent plus the extents of
     /// all descendants (TM semantics: `self` in a class constraint ranges
     /// over the extension).
     pub fn extension(&self, class: &ClassName) -> Vec<ObjectId> {
-        let mut out = self.extent(class).to_vec();
+        let mut out: Vec<ObjectId> = self.extent(class).collect();
         for d in self.schema.descendants(class) {
-            out.extend_from_slice(self.extent(&d));
+            out.extend(self.extent(&d));
         }
         out
+    }
+
+    /// The objects of a class's *extension*, in no particular order — for
+    /// consumers that sort or aggregate (index and statistics builds).
+    /// When the extension holds at least a quarter of the database, one
+    /// in-order pass over the object map filtered by class is cheaper
+    /// than a lookup per id, so it is taken; otherwise each id of the
+    /// extension is looked up.
+    pub fn extension_objects(&self, class: &ClassName) -> Vec<&Object> {
+        let mut classes = self.schema.descendants(class);
+        classes.push(class.clone());
+        let size: usize = classes.iter().map(|c| self.extent(c).len()).sum();
+        if 4 * size >= self.len() {
+            self.objects()
+                .filter(|o| classes.contains(&o.class))
+                .collect()
+        } else {
+            classes
+                .iter()
+                .flat_map(|c| self.extent(c))
+                .filter_map(|id| self.object(id))
+                .collect()
+        }
     }
 
     /// Follows an attribute path from an object, dereferencing object
@@ -343,6 +422,27 @@ mod tests {
     }
 
     #[test]
+    fn extension_objects_match_the_extension_on_both_paths() {
+        let mut d = db();
+        for _ in 0..20 {
+            d.create("Monograph", vec![]).unwrap();
+        }
+        d.create("Proceedings", vec![]).unwrap();
+        d.create("Item", vec![]).unwrap();
+        d.create("Publisher", vec![]).unwrap();
+        // Item's extension is most of the database (the scan path);
+        // Proceedings' is one object (the lookup path).
+        for class in ["Item", "Proceedings", "Monograph", "Publisher"] {
+            let class = ClassName::new(class);
+            let mut want = d.extension(&class);
+            let mut got: Vec<ObjectId> = d.extension_objects(&class).iter().map(|o| o.id).collect();
+            want.sort();
+            got.sort();
+            assert_eq!(got, want, "{class}");
+        }
+    }
+
+    #[test]
     fn navigate_ref_path() {
         let mut d = db();
         let p = d.create("Publisher", vec![("name", "ACM".into())]).unwrap();
@@ -390,7 +490,7 @@ mod tests {
         let removed = d.remove(p).unwrap();
         assert_eq!(removed.id, p);
         assert!(d.object(p).is_none());
-        assert!(d.extent(&ClassName::new("Publisher")).is_empty());
+        assert_eq!(d.extent(&ClassName::new("Publisher")).len(), 0);
         assert!(matches!(d.remove(p), Err(ModelError::UnknownObject(_))));
     }
 

@@ -58,6 +58,13 @@ macro_rules! ident_newtype {
             }
         }
 
+        impl From<Arc<str>> for $name {
+            /// Shares the allocation: no copy.
+            fn from(s: Arc<str>) -> Self {
+                Self(s)
+            }
+        }
+
         impl AsRef<str> for $name {
             fn as_ref(&self) -> &str {
                 &self.0

@@ -35,6 +35,13 @@
 //! * **Object ids are space-tagged** ([`ObjectId`]`(space, serial)`):
 //!   ids from different databases can never collide, and the merge phase
 //!   allocates global objects in its own space.
+//! * **[`PMap`] clones are O(1) and its order is deterministic** — the
+//!   persistent B+-tree behind a [`Database`]'s objects and extents
+//!   (and the storage layer's key indexes and MVCC versions) shares
+//!   every node with its clones and copies only the root-to-leaf paths
+//!   a write touches; it iterates in key order and hashes nothing. So
+//!   cloning a database is O(1) in its size, and no clone ever sees
+//!   another's writes.
 //! * **Typechecking is schema-driven**: a [`Database`] rejects objects
 //!   whose attribute valuations do not fit the declared types, so code
 //!   holding a populated database may assume well-typed values.
@@ -68,16 +75,18 @@ pub mod error;
 pub mod fx;
 pub mod ident;
 pub mod object;
+pub mod pmap;
 pub mod schema;
 pub mod types;
 pub mod value;
 
 pub use algo::intersect_sorted;
-pub use database::{Database, Extent};
+pub use database::Database;
 pub use error::ModelError;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ident::{AttrName, ClassName, DbName};
 pub use object::{Object, ObjectId};
+pub use pmap::PMap;
 pub use schema::{AttrDef, ClassDef, Schema};
 pub use types::Type;
 pub use value::{Value, R64};

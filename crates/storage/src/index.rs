@@ -16,16 +16,21 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use interop_model::fx::FxHashMap;
-use interop_model::{AttrName, ClassName, Object, ObjectId, Value, R64};
+use interop_model::{AttrName, ClassName, Object, ObjectId, PMap, Value, R64};
 
 /// A unique index over the key attributes of one class (covering its
-/// whole extension, i.e. including subclass instances).
+/// whole extension, i.e. including subclass instances). The map is a
+/// [`PMap`], so cloning an index — every MVCC snapshot and overlay does
+/// — shares it instead of copying one key tuple per object. Key tuples
+/// are `Arc`'d, so copying a node on a write bumps reference counts
+/// instead of cloning tuples.
 #[derive(Clone, Debug, Default)]
 pub struct KeyIndex {
     attrs: Vec<AttrName>,
-    map: BTreeMap<Vec<Value>, ObjectId>,
+    map: PMap<Arc<[Value]>, ObjectId>,
 }
 
 impl KeyIndex {
@@ -33,7 +38,22 @@ impl KeyIndex {
     pub fn new(attrs: Vec<AttrName>) -> Self {
         KeyIndex {
             attrs,
-            map: BTreeMap::new(),
+            map: PMap::new(),
+        }
+    }
+
+    /// Builds an index from `(key, holder)` pairs in one pass. Where
+    /// pairs share a key the first one holds it, as if they were
+    /// inserted in order and each collision rejected.
+    pub(crate) fn from_pairs(
+        attrs: Vec<AttrName>,
+        mut pairs: Vec<(Arc<[Value]>, ObjectId)>,
+    ) -> Self {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|later, earlier| later.0 == earlier.0);
+        KeyIndex {
+            attrs,
+            map: pairs.into_iter().collect(),
         }
     }
 
@@ -45,8 +65,8 @@ impl KeyIndex {
     /// Extracts the key tuple of an object; `None` when any component is
     /// null (null keys are not indexed, mirroring the evaluator's
     /// null-tolerant key check).
-    pub fn key_of(&self, obj: &Object) -> Option<Vec<Value>> {
-        let tuple: Vec<Value> = self.attrs.iter().map(|a| obj.get(a).clone()).collect();
+    pub fn key_of(&self, obj: &Object) -> Option<Arc<[Value]>> {
+        let tuple: Arc<[Value]> = self.attrs.iter().map(|a| obj.get(a).clone()).collect();
         if tuple.iter().any(Value::is_null) {
             None
         } else {
@@ -58,12 +78,13 @@ impl KeyIndex {
     /// (the caller rejects the insert in that case).
     pub fn insert(&mut self, obj: &Object) -> Result<(), ObjectId> {
         if let Some(key) = self.key_of(obj) {
-            if let Some(&prev) = self.map.get(&key) {
-                if prev != obj.id {
-                    return Err(prev);
+            match self.map.get(&key) {
+                Some(&prev) if prev != obj.id => return Err(prev),
+                Some(_) => {}
+                None => {
+                    self.map.insert(key, obj.id);
                 }
             }
-            self.map.insert(key, obj.id);
         }
         Ok(())
     }

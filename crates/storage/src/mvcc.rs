@@ -27,13 +27,26 @@
 //!    `Begin…Commit` bracket are exactly the single-threaded code
 //!    path: commits serialize into the log in timestamp order.
 //! 4. The commit timestamp is stamped on every written item, a fresh
-//!    snapshot (a [`Store::detached_clone`] of the canonical store) is
-//!    published, and (when history recording is on) a [`TxnRecord`] is
-//!    appended for the oracle.
+//!    snapshot (a detached clone of the canonical store) is published,
+//!    and (when history recording is on) a [`TxnRecord`] is appended
+//!    for the oracle.
 //!
 //! Commit-time work runs under one commit mutex; everything before it
 //! — reads, planned queries, constraint checks, conflict-free
 //! buffering — touches only the transaction's own snapshot.
+//!
+//! # Structural sharing
+//!
+//! Snapshots, overlays and the item-version map are cheap because the
+//! store's per-object structures — the object map, the class extents,
+//! the key indexes — and the version map are persistent
+//! [`PMap`]s: a clone shares every tree node, and a write
+//! copies only the nodes on its root-to-leaf path that a clone still
+//! shares. Publishing a snapshot, starting an overlay and stamping
+//! versions therefore cost O(write set · log N), not O(N); a published
+//! snapshot pins only the nodes the canonical store has since replaced.
+//! (The lazily built secondary indexes are `Arc`-shared too, but a
+//! session's first write still copies each warm one it maintains.)
 //!
 //! # Durability under concurrency
 //!
@@ -64,7 +77,10 @@
 //! path only seals the active WAL segment and hands the already
 //! published `Arc` snapshot to the worker, which writes the snapshot
 //! file (tmp + rename, as ever) and then prunes the sealed segments it
-//! made redundant — writers never stall on the dump.
+//! made redundant — writers never stall on the dump. Jobs that queue
+//! up while a dump runs are **coalesced**: the worker writes only the
+//! newest, whose prunable list already covers every segment the
+//! skipped jobs would have pruned.
 //! [`MvccStore::flush_snapshots`] waits for the worker to go idle;
 //! dropping the last handle drains it.
 //!
@@ -115,8 +131,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
-use interop_model::fx::FxHashMap;
-use interop_model::{AttrName, ClassName, Object, ObjectId, Value};
+use interop_model::{AttrName, ClassName, Object, ObjectId, PMap, Value};
 
 use crate::optimize::Optimizer;
 use crate::oracle::{Item, QueryRecord, TxnRecord};
@@ -291,7 +306,7 @@ struct Committed {
     /// timestamp order.
     store: Store,
     /// Item → commit timestamp of its latest committed write.
-    versions: Arc<FxHashMap<Item, u64>>,
+    versions: PMap<Item, u64>,
     /// The latest commit timestamp.
     ts: u64,
     /// When `Some`, every commit (read-only included) appends its
@@ -302,13 +317,13 @@ struct Committed {
 /// The read-side publication: swapped atomically (under a brief write
 /// lock, while the commit mutex is held) after each commit;
 /// [`MvccStore::begin`] takes the read lock only long enough to clone
-/// two `Arc`s.
+/// an `Arc` and a [`PMap`] root.
 struct Published {
     ts: u64,
     /// A detached copy of the canonical store, so published `Arc`s
     /// never alias the durability-owning store.
     snapshot: Arc<Store>,
-    versions: Arc<FxHashMap<Item, u64>>,
+    versions: PMap<Item, u64>,
 }
 
 struct Inner {
@@ -347,6 +362,14 @@ struct SnapshotWorker {
 struct SnapshotProgress {
     counts: Mutex<(u64, u64)>,
     cv: Condvar,
+    /// While `true` the worker waits after receiving a job, before it
+    /// drains the queue — so a test can queue several jobs and observe
+    /// how they coalesce.
+    #[cfg(test)]
+    held: Mutex<bool>,
+    /// Signals changes of `held` (a condvar serves one mutex).
+    #[cfg(test)]
+    gate: Condvar,
 }
 
 impl SnapshotProgress {
@@ -354,9 +377,25 @@ impl SnapshotProgress {
         lock(&self.counts).0 += 1;
     }
 
-    fn completed(&self) {
-        lock(&self.counts).1 += 1;
+    /// Marks `jobs` submitted jobs done (written, failed or skipped).
+    fn completed(&self, jobs: u64) {
+        lock(&self.counts).1 += jobs;
         self.cv.notify_all();
+    }
+
+    /// Holds the worker before its next drain (`true`) or lets it go.
+    #[cfg(test)]
+    fn hold(&self, on: bool) {
+        *lock(&self.held) = on;
+        self.gate.notify_all();
+    }
+
+    #[cfg(test)]
+    fn wait_released(&self) {
+        let mut held = lock(&self.held);
+        while *held {
+            held = self.gate.wait(held).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     fn wait_idle(&self) {
@@ -373,6 +412,10 @@ impl SnapshotWorker {
         let progress = Arc::new(SnapshotProgress {
             counts: Mutex::new((0, 0)),
             cv: Condvar::new(),
+            #[cfg(test)]
+            held: Mutex::new(false),
+            #[cfg(test)]
+            gate: Condvar::new(),
         });
         let worker_progress = Arc::clone(&progress);
         let worker_committed = Arc::clone(&committed);
@@ -398,7 +441,7 @@ impl SnapshotWorker {
             if tx.send((job, snap)).is_err() {
                 // Worker already gone (it panicked); balance the
                 // counter so waiters do not hang.
-                self.progress.completed();
+                self.progress.completed(1);
             }
         } else {
             run_snapshot_job(job, snap, &self.committed);
@@ -415,18 +458,33 @@ impl Drop for SnapshotWorker {
     }
 }
 
-/// The worker loop: dump each job's published snapshot to disk, then —
-/// under the commit mutex — prune the sealed segments the durable
-/// snapshot covers (or record the failure for
-/// [`MvccStore::take_snapshot_error`]).
+/// The worker loop: take every job queued so far and run only the
+/// newest — dump its published snapshot to disk, then, under the
+/// commit mutex, prune the sealed segments the durable snapshot covers
+/// (or record the failure for [`MvccStore::take_snapshot_error`]).
+///
+/// Skipping the older jobs loses nothing: a job's prunable list is
+/// every sealed segment whose transactions its watermark covers, so
+/// the newest list includes every segment an older one names, and the
+/// newest snapshot supersedes the older ones. Without coalescing, a
+/// cadence that falls due faster than one dump takes would grow the
+/// queue without bound.
 fn snapshot_worker(
     rx: Receiver<(SnapshotJob, Arc<Store>)>,
     committed: Arc<Mutex<Committed>>,
     progress: Arc<SnapshotProgress>,
 ) {
-    while let Ok((job, snap)) = rx.recv() {
+    while let Ok(mut newest) = rx.recv() {
+        #[cfg(test)]
+        progress.wait_released();
+        let mut jobs = 1;
+        while let Ok(next) = rx.try_recv() {
+            newest = next;
+            jobs += 1;
+        }
+        let (job, snap) = newest;
         run_snapshot_job(job, snap, &committed);
-        progress.completed();
+        progress.completed(jobs);
     }
 }
 
@@ -471,12 +529,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A detached copy of `store` to publish as the read snapshot. Its
-/// private touched log stays off: snapshots never feed the incremental
-/// pipeline directly, and a tracking copy would grow unboundedly.
+/// private touched log stays off (and is never copied): snapshots
+/// never feed the incremental pipeline directly, and a tracking copy
+/// would grow unboundedly.
 fn publishable(store: &Store) -> Arc<Store> {
-    let mut snapshot = store.detached_clone();
-    snapshot.track_touched(false);
-    Arc::new(snapshot)
+    Arc::new(store.untracked_clone())
 }
 
 impl MvccStore {
@@ -503,10 +560,10 @@ impl MvccStore {
             .map_or(0, |m| m + 1);
         let wants_worker = store.durability_mode() == DurabilityMode::WalWithSnapshots;
         let snapshot = publishable(&store);
-        let versions: Arc<FxHashMap<Item, u64>> = Arc::new(FxHashMap::default());
+        let versions: PMap<Item, u64> = PMap::new();
         let committed = Arc::new(Mutex::new(Committed {
             store,
-            versions: Arc::clone(&versions),
+            versions: versions.clone(),
             ts: 0,
             history: None,
         }));
@@ -546,7 +603,7 @@ impl MvccStore {
             store: self.clone(),
             begin_ts: p.ts,
             snapshot: Arc::clone(&p.snapshot),
-            versions: Arc::clone(&p.versions),
+            versions: p.versions.clone(),
             local: None,
             ops: Vec::new(),
             write_objs: BTreeSet::new(),
@@ -750,7 +807,7 @@ pub struct MvccTxn {
     /// The published snapshot this transaction reads.
     snapshot: Arc<Store>,
     /// Item versions as of `begin_ts` (what reads observe).
-    versions: Arc<FxHashMap<Item, u64>>,
+    versions: PMap<Item, u64>,
     /// Lazily created overlay: snapshot + own writes, so reads and
     /// planned queries see the transaction's own effects and doomed
     /// operations are rejected by real constraint checks immediately.
@@ -1016,24 +1073,24 @@ impl MvccTxn {
             Err((failed_at, error)) => return Err(CommitError::Rejected { failed_at, error }),
         };
 
-        // 4. Stamp versions and publish a fresh snapshot.
+        // 4. Stamp versions and publish a fresh snapshot. The version
+        // map is shared with the published one, so each stamp copies
+        // one root-to-leaf path, not the map.
         c.ts += 1;
         let ts = c.ts;
         let mut writes = Vec::with_capacity(write_objs.len() + write_classes.len());
-        {
-            let versions = Arc::make_mut(&mut c.versions);
-            for &id in &write_objs {
-                versions.insert(Item::Obj(id), ts);
-                writes.push(Item::Obj(id));
-            }
-            for cl in &write_classes {
-                versions.insert(Item::Class(cl.clone()), ts);
-                writes.push(Item::Class(cl.clone()));
-            }
+        for &id in &write_objs {
+            c.versions.insert(Item::Obj(id), ts);
+            writes.push(Item::Obj(id));
         }
-        // Publish a fresh snapshot of the canonical store. The clone
-        // shares objects behind `Arc`s but copies the object, extent
-        // and index maps — O(N) in the database size per commit.
+        for cl in &write_classes {
+            c.versions.insert(Item::Class(cl.clone()), ts);
+            writes.push(Item::Class(cl.clone()));
+        }
+        // Publish a fresh snapshot of the canonical store. Its maps
+        // share every node with the canonical store, so the clone is
+        // O(1) in the database size; the next commit's writes copy only
+        // the paths they touch.
         let snapshot = publishable(&c.store);
         if let Some(h) = &mut c.history {
             h.push(TxnRecord {
@@ -1057,7 +1114,7 @@ impl MvccTxn {
         let published = Published {
             ts,
             snapshot,
-            versions: Arc::clone(&c.versions),
+            versions: c.versions.clone(),
         };
         // Publish while still holding the commit mutex, so snapshots
         // become visible in commit order.
@@ -1175,6 +1232,127 @@ mod tests {
             ),
             "the latched log refuses the next commit: {err:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commits queued while the worker is held back.
+    const QUEUED: u64 = 5;
+
+    /// A durable store snapshotting after every commit, with its worker
+    /// held and [`QUEUED`] commits — so [`QUEUED`] snapshot jobs —
+    /// queued behind it. Returns the store and the object it updates.
+    fn queued_jobs(dir: &std::path::Path) -> (MvccStore, ObjectId) {
+        let _ = std::fs::remove_dir_all(dir);
+        let schema = Schema::new("Shop", vec![ClassDef::new("Item").attr("v", Type::Int)]).unwrap();
+        let mut durable = Store::open(
+            Database::new(schema, 1),
+            Catalog::new(),
+            dir,
+            DurabilityMode::WalWithSnapshots,
+        )
+        .unwrap();
+        durable.set_snapshot_every(1);
+        let store = MvccStore::new(durable);
+        worker(&store).progress.hold(true);
+        let mut t = store.begin();
+        let id = t.create("Item", vec![("v", 0i64.into())]).unwrap();
+        t.commit().unwrap();
+        for v in 1..QUEUED as i64 {
+            let mut t = store.begin();
+            t.update(id, "v", Value::int(v)).unwrap();
+            t.commit().unwrap();
+        }
+        assert_eq!(snapshot_files(dir), Vec::<String>::new(), "worker is held");
+        assert_eq!(
+            crate::wal::list_segments(dir).unwrap().len() as u64,
+            QUEUED + 1,
+            "every commit sealed its segment"
+        );
+        (store, id)
+    }
+
+    fn worker(store: &MvccStore) -> &SnapshotWorker {
+        store.inner.snapshots.as_ref().unwrap()
+    }
+
+    fn snapshot_files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("snapshot-") && n.ends_with(".snap"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Drops the store and reopens its directory; the recovered objects
+    /// must equal the last published snapshot.
+    fn reopen_equals_oracle(store: MvccStore, dir: &std::path::Path) {
+        let oracle: Vec<Object> = store.read_view().db().objects().cloned().collect();
+        let schema = store.read_view().db().schema.as_ref().clone();
+        drop(store);
+        let reopened = Store::open(
+            Database::new(schema, 1),
+            Catalog::new(),
+            dir,
+            DurabilityMode::WalWithSnapshots,
+        )
+        .unwrap();
+        let recovered: Vec<Object> = reopened.db().objects().cloned().collect();
+        assert_eq!(recovered, oracle);
+    }
+
+    #[test]
+    fn queued_snapshot_jobs_coalesce_into_the_newest() {
+        let dir = std::env::temp_dir().join(format!("interop-coalesce-{}-ok", std::process::id()));
+        let (store, id) = queued_jobs(&dir);
+        // Every older job would fail at its temporary file: skipped
+        // jobs must not touch the disk at all.
+        for older in 1..QUEUED {
+            std::fs::create_dir(dir.join(format!("snapshot-{older:020}.snap.tmp"))).unwrap();
+        }
+        worker(&store).progress.hold(false);
+        store.flush_snapshots();
+        assert_eq!(*lock(&worker(&store).progress.counts), (QUEUED, QUEUED));
+        assert_eq!(
+            snapshot_files(&dir),
+            vec![format!("snapshot-{QUEUED:020}.snap")],
+            "only the newest job was written"
+        );
+        let segments: Vec<u64> = crate::wal::list_segments(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_eq!(segments, vec![QUEUED + 1], "every covered segment pruned");
+        assert!(store.take_snapshot_error().is_none());
+        assert_eq!(
+            store.read_view().db().object(id).unwrap().get(&"v".into()),
+            &Value::int(QUEUED as i64 - 1)
+        );
+        reopen_equals_oracle(store, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_newest_job_is_reported_once() {
+        let dir = std::env::temp_dir().join(format!("interop-coalesce-{}-err", std::process::id()));
+        let (store, _) = queued_jobs(&dir);
+        // A directory where the newest snapshot's temporary file goes
+        // makes that write fail.
+        std::fs::create_dir(dir.join(format!("snapshot-{QUEUED:020}.snap.tmp"))).unwrap();
+        worker(&store).progress.hold(false);
+        store.flush_snapshots();
+        let failure = store.take_snapshot_error().expect("the newest job failed");
+        assert_eq!(failure.failures, 1, "skipped jobs are not failures");
+        assert!(store.take_snapshot_error().is_none());
+        assert_eq!(snapshot_files(&dir), Vec::<String>::new());
+        assert_eq!(
+            crate::wal::list_segments(&dir).unwrap().len() as u64,
+            QUEUED + 1,
+            "nothing pruned without a durable snapshot"
+        );
+        reopen_equals_oracle(store, &dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

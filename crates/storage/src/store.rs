@@ -13,6 +13,7 @@
 //! the [`CompositePolicy`] admits a recurring, sufficiently-selective
 //! equality-atom pair reported by the cost model.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -412,11 +413,30 @@ fn lock_mut<T>(m: &mut Mutex<T>) -> &mut T {
     m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A key tuple and the object holding it.
+type KeyEntry = (Arc<[Value]>, ObjectId);
+
+/// The class whose key index covers objects of `class`: the index lives
+/// at the class where `key` is declared, and an object of a subclass
+/// belongs to the ancestor's index.
+fn index_class(
+    schema: &interop_model::Schema,
+    indexes: &IndexSet,
+    class: &ClassName,
+) -> Option<ClassName> {
+    schema
+        .self_and_ancestors(class)
+        .into_iter()
+        .find(|c| indexes.contains_key(c))
+}
+
 /// A database plus its enforced constraint catalog and key indexes.
 #[derive(Debug)]
 pub struct Store {
     db: Database,
-    catalog: Catalog,
+    /// Shared: the catalog never changes after construction, so clones
+    /// share it.
+    catalog: Arc<Catalog>,
     indexes: IndexSet,
     /// Bumped on every mutation attempt that may have touched state;
     /// secondary indexes are valid only for the version they were
@@ -464,17 +484,30 @@ impl Store {
     /// for the removed `Clone` impl, so call sites visibly opt in to
     /// losing durability (e.g. scratch oracles, MVCC snapshots,
     /// benchmark per-iteration copies).
+    ///
+    /// The database and the key indexes are persistent maps, so the
+    /// clone is O(1) in the number of objects: it shares their nodes,
+    /// and either side's later writes copy only the paths they touch.
     pub fn detached_clone(&self) -> Store {
+        let mut clone = self.untracked_clone();
+        clone.touched_log = self.touched_log.clone();
+        clone
+    }
+
+    /// [`Store::detached_clone`] without the touched-id log: the clone
+    /// does not track, and the log is not copied. MVCC publishes its
+    /// snapshots this way.
+    pub(crate) fn untracked_clone(&self) -> Store {
         Store {
             db: self.db.clone(),
-            catalog: self.catalog.clone(),
+            catalog: Arc::clone(&self.catalog),
             indexes: self.indexes.clone(),
             version: self.version,
             maintenance: self.maintenance,
             secondary: Mutex::new(lock(&self.secondary).clone()),
             composite_policy: self.composite_policy,
             composites: Mutex::new(lock(&self.composites).clone()),
-            touched_log: self.touched_log.clone(),
+            touched_log: None,
             durability: None,
         }
     }
@@ -489,9 +522,29 @@ impl Store {
                 indexes.insert(cc.class.clone(), KeyIndex::new(attrs.clone()));
             }
         }
-        let mut store = Store {
+        // Index existing objects: gather each index's keys in one pass
+        // over the objects, then build it bottom-up.
+        let mut keyed: BTreeMap<ClassName, Vec<KeyEntry>> = BTreeMap::new();
+        let mut homes: BTreeMap<&ClassName, Option<ClassName>> = BTreeMap::new();
+        for obj in db.objects() {
+            let home = homes
+                .entry(&obj.class)
+                .or_insert_with(|| index_class(&db.schema, &indexes, &obj.class));
+            let Some((class, idx)) = home.as_ref().and_then(|c| indexes.get_key_value(c)) else {
+                continue;
+            };
+            if let Some(key) = idx.key_of(obj) {
+                keyed.entry(class.clone()).or_default().push((key, obj.id));
+            }
+        }
+        for (class, pairs) in keyed {
+            if let Some(idx) = indexes.get_mut(&class) {
+                *idx = KeyIndex::from_pairs(idx.attrs().to_vec(), pairs);
+            }
+        }
+        Store {
             db,
-            catalog,
+            catalog: Arc::new(catalog),
             indexes,
             version: 0,
             maintenance: IndexMaintenance::default(),
@@ -500,14 +553,7 @@ impl Store {
             composites: Mutex::new(CompositeAdmission::default()),
             touched_log: None,
             durability: None,
-        };
-        // Index existing objects.
-        let ids: Vec<ObjectId> = store.db.objects().map(|o| o.id).collect();
-        for id in ids {
-            let obj = store.db.object(id).expect("listed").clone();
-            store.index_insert(&obj).ok();
         }
-        store
     }
 
     /// Opens a durable store rooted at `dir`, recovering any state a
@@ -808,8 +854,6 @@ impl Store {
     /// both to the worker; [`Store::prune_wal_segments`] runs after the
     /// snapshot file is durable.
     pub(crate) fn take_snapshot_job(&mut self) -> Option<SnapshotJob> {
-        let tracking = self.touched_log.is_some();
-        let touched = self.touched_log.clone().unwrap_or_default();
         let d = self.durability.as_deref_mut()?;
         if !d.snapshot_due {
             return None;
@@ -828,8 +872,8 @@ impl Store {
         Some(SnapshotJob {
             dir: d.dir.clone(),
             watermark,
-            tracking,
-            touched,
+            tracking: self.touched_log.is_some(),
+            touched: self.touched_log.clone().unwrap_or_default(),
             prunable: d.wal.prunable(watermark),
         })
     }
@@ -940,13 +984,7 @@ impl Store {
     }
 
     fn index_class_for(&self, class: &ClassName) -> Option<ClassName> {
-        // The index lives at the class where `key` is declared; an object
-        // of a subclass belongs to the ancestor's index.
-        self.db
-            .schema
-            .self_and_ancestors(class)
-            .into_iter()
-            .find(|c| self.indexes.contains_key(c))
+        index_class(&self.db.schema, &self.indexes, class)
     }
 
     fn index_insert(&mut self, obj: &Object) -> Result<(), StoreError> {
@@ -964,6 +1002,14 @@ impl Store {
         if let Some(c) = self.index_class_for(&obj.class) {
             self.indexes.get_mut(&c).expect("found above").remove(obj);
         }
+    }
+
+    /// True when `before` and `after` (one object's states) differ in a
+    /// key attribute of their index.
+    fn key_changes(&self, before: &Object, after: &Object) -> bool {
+        self.index_class_for(&before.class)
+            .and_then(|c| self.indexes.get(&c))
+            .is_some_and(|idx| idx.attrs().iter().any(|a| before.get(a) != after.get(a)))
     }
 
     /// Key lookup via the index (used by the query fast path).
@@ -1236,12 +1282,12 @@ impl Store {
         if let Some(idx) = cache.hash.get(class).and_then(|m| m.get(attr)) {
             return Arc::clone(idx);
         }
-        let idx = Arc::new(HashIndex::build(self.db.extension(class).into_iter().map(
-            |id| {
-                let obj = self.db.object(id).expect("extension lists live objects");
-                (obj.get(attr).clone(), id)
-            },
-        )));
+        let idx = Arc::new(HashIndex::build(
+            self.db
+                .extension_objects(class)
+                .into_iter()
+                .map(|obj| (obj.get(attr).clone(), obj.id)),
+        ));
         cache
             .hash
             .entry(class.clone())
@@ -1258,11 +1304,12 @@ impl Store {
         if let Some(idx) = cache.sorted.get(class).and_then(|m| m.get(attr)) {
             return Arc::clone(idx);
         }
-        let ids = self.db.extension(class);
-        let idx = Arc::new(SortedIndex::build(ids.iter().map(|&id| {
-            let obj = self.db.object(id).expect("extension lists live objects");
-            (obj.get(attr), id)
-        })));
+        let idx = Arc::new(SortedIndex::build(
+            self.db
+                .extension_objects(class)
+                .into_iter()
+                .map(|obj| (obj.get(attr), obj.id)),
+        ));
         cache
             .sorted
             .entry(class.clone())
@@ -1283,11 +1330,12 @@ impl Store {
                 return Arc::clone(st);
             }
         }
-        let ids = self.db.extension(class);
-        let st = Arc::new(AttrStats::build(ids.iter().map(|&id| {
-            let obj = self.db.object(id).expect("extension lists live objects");
-            obj.get(attr)
-        })));
+        let st = Arc::new(AttrStats::build(
+            self.db
+                .extension_objects(class)
+                .into_iter()
+                .map(|obj| obj.get(attr)),
+        ));
         cache
             .stats
             .entry(class.clone())
@@ -1315,10 +1363,10 @@ impl Store {
             return Arc::clone(idx);
         }
         let idx = Arc::new(CompositeIndex::build(
-            self.db.extension(class).into_iter().map(|id| {
-                let obj = self.db.object(id).expect("extension lists live objects");
-                (obj.get(a).clone(), obj.get(b).clone(), id)
-            }),
+            self.db
+                .extension_objects(class)
+                .into_iter()
+                .map(|obj| (obj.get(a).clone(), obj.get(b).clone(), obj.id)),
         ));
         cache
             .composite
@@ -1447,10 +1495,14 @@ impl Store {
         let mut after = before.clone();
         after.set(attr.clone(), value.clone());
         self.validate_object(&after)?;
-        self.index_remove(&before);
-        if let Err(e) = self.index_insert(&after) {
-            self.index_insert(&before).expect("restoring old key");
-            return Err(e);
+        // An update that leaves the key alone leaves the index alone.
+        let rekey = self.key_changes(&before, &after);
+        if rekey {
+            self.index_remove(&before);
+            if let Err(e) = self.index_insert(&after) {
+                self.index_insert(&before).expect("restoring old key");
+                return Err(e);
+            }
         }
         self.db.update(id, attr.clone(), value.clone())?;
         if let Err(e) = self.check_class_and_db_constraints(&before.class) {
@@ -1459,8 +1511,10 @@ impl Store {
             self.db
                 .insert(before.clone())
                 .expect("reinsert during rollback");
-            self.index_remove(&after);
-            self.index_insert(&before).expect("restoring old key");
+            if rekey {
+                self.index_remove(&after);
+                self.index_insert(&before).expect("restoring old key");
+            }
             return Err(e);
         }
         let old = before.get(&attr).clone();

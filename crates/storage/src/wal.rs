@@ -280,11 +280,23 @@ pub(crate) fn put_object(out: &mut Vec<u8>, obj: &Object) {
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Class and attribute names decoded so far. A snapshot repeats a
+    /// handful of names once per object, so each repeat decodes to a
+    /// clone of the first instead of a fresh allocation.
+    names: Vec<Arc<str>>,
 }
+
+/// Most distinct names a [`Cursor`] remembers; past it, names decode to
+/// fresh allocations (a linear scan must stay short).
+const NAME_CACHE: usize = 64;
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+        Cursor {
+            buf,
+            pos: 0,
+            names: Vec::new(),
+        }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -320,10 +332,23 @@ impl<'a> Cursor<'a> {
             .and_then(|s| Some(i64::from_le_bytes(s.try_into().ok()?)))
     }
 
-    pub(crate) fn str(&mut self) -> Option<String> {
+    /// A length-prefixed UTF-8 string, borrowed from the buffer.
+    fn text(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    /// A class or attribute name, shared with earlier equal ones.
+    fn name(&mut self) -> Option<Arc<str>> {
+        let text = self.text()?;
+        if let Some(known) = self.names.iter().find(|n| n.as_ref() == text) {
+            return Some(Arc::clone(known));
+        }
+        let name: Arc<str> = Arc::from(text);
+        if self.names.len() < NAME_CACHE {
+            self.names.push(Arc::clone(&name));
+        }
+        Some(name)
     }
 
     pub(crate) fn id(&mut self) -> Option<ObjectId> {
@@ -341,7 +366,7 @@ impl<'a> Cursor<'a> {
                 let bits = self.u64()?;
                 Some(Value::Real(R64::try_new(f64::from_bits(bits))?))
             }
-            4 => Some(Value::str(self.str()?)),
+            4 => Some(Value::Str(Arc::from(self.text()?))),
             5 => {
                 let n = self.u32()?;
                 let mut items = std::collections::BTreeSet::new();
@@ -357,11 +382,11 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn object(&mut self) -> Option<Object> {
         let id = self.id()?;
-        let class = ClassName::new(self.str()?);
+        let class = ClassName::from(self.name()?);
         let mut obj = Object::new(id, class);
         let n = self.u32()?;
         for _ in 0..n {
-            let attr = AttrName::new(self.str()?);
+            let attr = AttrName::from(self.name()?);
             let value = self.value()?;
             obj.attrs.insert(attr, value);
         }
@@ -430,7 +455,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
         TAG_DELTA_INSERT => WalRecord::DeltaInsert(c.object()?),
         TAG_DELTA_UPDATE => WalRecord::DeltaUpdate {
             id: c.id()?,
-            attr: AttrName::new(c.str()?),
+            attr: AttrName::from(c.name()?),
             old: c.value()?,
             new: c.value()?,
         },
