@@ -267,29 +267,6 @@ impl Database {
         out
     }
 
-    /// The objects of a class's *extension*, in no particular order — for
-    /// consumers that sort or aggregate (index and statistics builds).
-    /// When the extension holds at least a quarter of the database, one
-    /// in-order pass over the object map filtered by class is cheaper
-    /// than a lookup per id, so it is taken; otherwise each id of the
-    /// extension is looked up.
-    pub fn extension_objects(&self, class: &ClassName) -> Vec<&Object> {
-        let mut classes = self.schema.descendants(class);
-        classes.push(class.clone());
-        let size: usize = classes.iter().map(|c| self.extent(c).len()).sum();
-        if 4 * size >= self.len() {
-            self.objects()
-                .filter(|o| classes.contains(&o.class))
-                .collect()
-        } else {
-            classes
-                .iter()
-                .flat_map(|c| self.extent(c))
-                .filter_map(|id| self.object(id))
-                .collect()
-        }
-    }
-
     /// Follows an attribute path from an object, dereferencing object
     /// references. E.g. `publisher.name` on a `Proceedings` object reads
     /// the `publisher` ref, then `name` on the referenced `Publisher`.
@@ -419,27 +396,6 @@ mod tests {
         assert_eq!(d.extent(&ClassName::new("Item")).len(), 1);
         assert_eq!(d.extension(&ClassName::new("Item")).len(), 3);
         assert_eq!(d.extension(&ClassName::new("Proceedings")).len(), 1);
-    }
-
-    #[test]
-    fn extension_objects_match_the_extension_on_both_paths() {
-        let mut d = db();
-        for _ in 0..20 {
-            d.create("Monograph", vec![]).unwrap();
-        }
-        d.create("Proceedings", vec![]).unwrap();
-        d.create("Item", vec![]).unwrap();
-        d.create("Publisher", vec![]).unwrap();
-        // Item's extension is most of the database (the scan path);
-        // Proceedings' is one object (the lookup path).
-        for class in ["Item", "Proceedings", "Monograph", "Publisher"] {
-            let class = ClassName::new(class);
-            let mut want = d.extension(&class);
-            let mut got: Vec<ObjectId> = d.extension_objects(&class).iter().map(|o| o.id).collect();
-            want.sort();
-            got.sort();
-            assert_eq!(got, want, "{class}");
-        }
     }
 
     #[test]

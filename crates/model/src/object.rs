@@ -13,7 +13,7 @@ use crate::value::Value;
 /// during conformation and global objects created during merging); the low
 /// half is a per-space counter. Packing both into one `Copy` value keeps
 /// maps keyed on object identity cheap.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectId {
     space: u32,
     serial: u64,
@@ -33,6 +33,25 @@ impl ObjectId {
     /// The per-space serial.
     pub fn serial(self) -> u64 {
         self.serial
+    }
+
+    /// Space and serial in one integer, ordered as the pair is.
+    fn packed(self) -> u128 {
+        (u128::from(self.space) << 64) | u128::from(self.serial)
+    }
+}
+
+/// Ordered by space, then serial — compared as one integer, so a
+/// comparison is a single branch-free step in every id-keyed map.
+impl Ord for ObjectId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.packed().cmp(&other.packed())
+    }
+}
+
+impl PartialOrd for ObjectId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -105,6 +124,22 @@ mod tests {
     fn id_ordering_by_space_then_serial() {
         assert!(ObjectId::new(0, 99) < ObjectId::new(1, 0));
         assert!(ObjectId::new(1, 1) < ObjectId::new(1, 2));
+    }
+
+    #[test]
+    fn id_ordering_matches_the_pair_order_at_the_edges() {
+        let parts = [0, 1, u32::MAX as u64 - 1, u32::MAX as u64, u64::MAX];
+        let ids: Vec<ObjectId> = [0, 1, u32::MAX - 1, u32::MAX]
+            .into_iter()
+            .flat_map(|space| parts.map(|serial| ObjectId::new(space, serial)))
+            .collect();
+        for a in &ids {
+            for b in &ids {
+                let pair = (a.space(), a.serial()).cmp(&(b.space(), b.serial()));
+                assert_eq!(a.cmp(b), pair, "{a} vs {b}");
+                assert_eq!(a.partial_cmp(b), Some(pair), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

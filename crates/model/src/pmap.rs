@@ -21,6 +21,7 @@
 //! Iteration is in key order, so it is deterministic; nothing is hashed.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::mem;
 use std::sync::Arc;
@@ -51,12 +52,22 @@ impl<K, V> Node<K, V> {
 /// A persistent ordered map. See the [module docs](self).
 ///
 /// `B` is the fan-out: the most entries in a leaf and the most
-/// children of a branch. The default, 128, keeps nodes few and large,
-/// which is what bulk loads and allocator reuse favour; a write to a
-/// shared map copies about `B` entries per level. The node-invariant
-/// oracle runs mostly at a fan-out of 8, where a few hundred keys
-/// already make trees four levels deep.
-pub struct PMap<K, V, const B: usize = 128> {
+/// children of a branch. A write to a shared map copies about `B`
+/// entries per level, and a build allocates a node per `3B / 4`
+/// appended entries. The default, 512, was picked by measurement on a
+/// 2-vCPU x86-64 machine against 32, 128 and 256. Warm lookups and the
+/// `query_optimization` benches came out level at every fan-out. Fewer,
+/// larger nodes made builds cheaper: the 60k-object fixture behind
+/// e2ebench's `integrate_batch` `setup_s` took a median 0.091 s at 128,
+/// 0.074 s at 256 and 0.062 s at 512, against 0.081 s for the
+/// `BTreeMap`s this replaced, and 10k in-place updates
+/// (`durability/writes_off`) took 14 ms at 32 against 8 ms at 128.
+/// A one-object MVCC commit at 100k objects grows with the fan-out —
+/// about 8 µs at 32, 10 µs at 128, 21–30 µs at 512 — and stays far
+/// below the 86 ms the unshared maps took. The node-invariant oracle
+/// runs mostly at a fan-out of 8, where a few hundred keys already make
+/// trees four levels deep.
+pub struct PMap<K, V, const B: usize = 512> {
     root: Option<Arc<Node<K, V>>>,
     len: usize,
 }
@@ -77,31 +88,62 @@ impl<K, V, const B: usize> Default for PMap<K, V, B> {
     }
 }
 
-/// Where `q` sits among a leaf's sorted entries. Keys past the last
-/// entry — appends, the common case for ids and sequence numbers —
-/// are answered by one comparison.
+/// Searches narrow a node down to at most this many candidates by
+/// halving, then scan them in order. A node spans kilobytes and each
+/// halving step waits on the load before it, while the final scan's
+/// loads do not depend on each other and its exit branch predicts
+/// well. Measured on a 2-vCPU x86-64 machine, warm random lookups in
+/// an id-keyed map of 10k–100k entries took about as long as a
+/// `BTreeMap`'s this way, against about twice as long with std's
+/// binary search over whole nodes.
+const SCAN: usize = 8;
+
+/// The start of a run of at most [`SCAN`] sorted `items` that holds
+/// both the first item whose key is at least `q` and the first whose
+/// key exceeds it (or the end).
+fn narrow<T, Q>(items: &[T], q: &Q, key: impl Fn(&T) -> &Q) -> usize
+where
+    Q: Ord + ?Sized,
+{
+    let (mut lo, mut len) = (0, items.len());
+    while len > SCAN {
+        let half = len / 2;
+        if items.get(lo + half).is_some_and(|it| key(it) <= q) {
+            lo += half;
+        }
+        len -= half;
+    }
+    lo
+}
+
+/// Where `q` sits among a leaf's sorted entries.
 fn leaf_search<K, V, Q>(entries: &[(K, V)], q: &Q) -> Result<usize, usize>
 where
     K: Borrow<Q>,
     Q: Ord + ?Sized,
 {
-    match entries.last() {
-        Some((last, _)) if last.borrow() < q => Err(entries.len()),
-        _ => entries.binary_search_by(|(k, _)| k.borrow().cmp(q)),
+    let lo = narrow(entries, q, |(k, _)| k.borrow());
+    for (i, (k, _)) in entries.iter().enumerate().skip(lo) {
+        match q.cmp(k.borrow()) {
+            Ordering::Greater => {}
+            Ordering::Equal => return Ok(i),
+            Ordering::Less => return Err(i),
+        }
     }
+    Err(entries.len())
 }
 
-/// The child of a branch whose key range holds `q`; like
-/// [`leaf_search`], one comparison past the last separator.
+/// The child of a branch whose key range holds `q`.
 fn child_index<K, Q>(keys: &[K], q: &Q) -> usize
 where
     K: Borrow<Q>,
     Q: Ord + ?Sized,
 {
-    match keys.last() {
-        Some(last) if last.borrow() <= q => keys.len(),
-        _ => keys.partition_point(|s| s.borrow() <= q),
-    }
+    let lo = narrow(keys, q, |k| k.borrow());
+    keys.iter()
+        .skip(lo)
+        .position(|s| q < s.borrow())
+        .map_or(keys.len(), |i| lo + i)
 }
 
 impl<K, V, const B: usize> PMap<K, V, B> {
@@ -262,20 +304,31 @@ fn insert_rec<K: Ord + Clone, V: Clone, const B: usize>(
     key: K,
     value: V,
 ) -> (Option<V>, Split<K, V>) {
+    // Keys past the last entry or separator — appends, the common case
+    // for ids and sequence numbers — are placed by one comparison.
     match Arc::make_mut(node) {
-        Node::Leaf(entries) => match leaf_search(entries, &key) {
-            Ok(i) => (
-                entries.get_mut(i).map(|(_, v)| mem::replace(v, value)),
-                None,
-            ),
-            Err(i) => {
-                let append = i == entries.len();
-                entries.insert(i, (key, value));
-                (None, split_leaf::<K, V, B>(entries, append))
+        Node::Leaf(entries) => {
+            let at = match entries.last() {
+                Some((last, _)) if *last < key => Err(entries.len()),
+                _ => leaf_search(entries, &key),
+            };
+            match at {
+                Ok(i) => (
+                    entries.get_mut(i).map(|(_, v)| mem::replace(v, value)),
+                    None,
+                ),
+                Err(i) => {
+                    let append = i == entries.len();
+                    entries.insert(i, (key, value));
+                    (None, split_leaf::<K, V, B>(entries, append))
+                }
             }
-        },
+        }
         Node::Branch(b) => {
-            let i = child_index(&b.keys, &key);
+            let i = match b.keys.last() {
+                Some(last) if *last <= key => b.keys.len(),
+                _ => child_index(&b.keys, &key),
+            };
             // A branch has one more child than separators, so `i` is in
             // range.
             let Some(child) = b.children.get_mut(i) else {
@@ -457,63 +510,6 @@ impl<'a, K, V, const B: usize> IntoIterator for &'a PMap<K, V, B> {
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
-}
-
-impl<K: Ord + Clone, V: Clone, const B: usize> FromIterator<(K, V)> for PMap<K, V, B> {
-    /// Builds the tree bottom-up from the sorted entries, so every node
-    /// is allocated once and filled evenly. As with repeated
-    /// [`PMap::insert`]s, the last value given for a key wins.
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut entries: Vec<(K, V)> = iter.into_iter().collect();
-        // Stable, so equal keys keep their order and the dedup below can
-        // keep the last one.
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries.dedup_by(|later, earlier| {
-            let same = later.0 == earlier.0;
-            if same {
-                mem::swap(later, earlier);
-            }
-            same
-        });
-        let len = entries.len();
-        let mut level: Vec<(K, Arc<Node<K, V>>)> = even_groups::<_, B>(entries)
-            .into_iter()
-            .filter_map(|leaf| {
-                let first = leaf.first()?.0.clone();
-                Some((first, Arc::new(Node::Leaf(leaf))))
-            })
-            .collect();
-        while level.len() > 1 {
-            level = even_groups::<_, B>(level)
-                .into_iter()
-                .filter_map(|group| {
-                    let mut group = group.into_iter();
-                    let (first, head) = group.next()?;
-                    let (keys, rest): (Vec<K>, Vec<_>) = group.unzip();
-                    let mut children = Vec::with_capacity(rest.len() + 1);
-                    children.push(head);
-                    children.extend(rest);
-                    Some((first, Arc::new(Node::Branch(Branch { keys, children }))))
-                })
-                .collect();
-        }
-        let mut map = PMap::new();
-        map.root = level.pop().map(|(_, node)| node);
-        map.len = len;
-        map
-    }
-}
-
-/// Splits `items` into as few groups of at most `B` as possible, with
-/// sizes differing by at most one — so each holds at least `B / 2`
-/// (more than the minimum) when there is more than one.
-fn even_groups<T, const B: usize>(items: Vec<T>) -> Vec<Vec<T>> {
-    let groups = items.len().div_ceil(B).max(1);
-    let (base, extra) = (items.len() / groups, items.len() % groups);
-    let mut items = items.into_iter();
-    (0..groups)
-        .map(|g| items.by_ref().take(base + usize::from(g < extra)).collect())
-        .collect()
 }
 
 impl<K: PartialEq, V: PartialEq, const B: usize> PartialEq for PMap<K, V, B> {

@@ -42,21 +42,6 @@ impl KeyIndex {
         }
     }
 
-    /// Builds an index from `(key, holder)` pairs in one pass. Where
-    /// pairs share a key the first one holds it, as if they were
-    /// inserted in order and each collision rejected.
-    pub(crate) fn from_pairs(
-        attrs: Vec<AttrName>,
-        mut pairs: Vec<(Arc<[Value]>, ObjectId)>,
-    ) -> Self {
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|later, earlier| later.0 == earlier.0);
-        KeyIndex {
-            attrs,
-            map: pairs.into_iter().collect(),
-        }
-    }
-
     /// The key attributes.
     pub fn attrs(&self) -> &[AttrName] {
         &self.attrs
